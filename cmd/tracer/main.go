@@ -22,7 +22,7 @@
 //	tracer cachestudy [-in FILE | -repo DIR -trace NAME] [-device hdd|ssd] [-loads 50,100] [-specs uncached,dram:32,ssd:256] [-workers N] [-json FILE]
 //	tracer fleet     -arrays N [-workers W] [-policy P] [-device hdd|ssd] [-duration D] [-iops F] [-admit-rate F] [-power-cap W] [-telemetry-dir DIR] [-slo SPEC [-watch]] [-fail A@T[:D],... | -mtbf D]
 //	tracer report    [-dir DIR] [-alert SEQ]
-//	tracer verify    [-golden DIR] [-update] [-tol F] [-telemetry-dir DIR] [-fidelity [-seed N]] [-optimize] [-cache] [-slo]
+//	tracer verify    [-gate golden|fidelity|optimize|cache|slo|all] [-golden DIR] [-update] [-tol F] [-seed N] [-telemetry-dir DIR]
 //	tracer optimize  [-policy P[,P...]] [-space SPEC] [-driver grid|evolve] [-in FILE] [-load PCT] [-workers N] [-ledger-dir DIR] [-telemetry-dir DIR]
 //	tracer whatif    -ledger FILE (-decision N | -list) [-in FILE]
 package main

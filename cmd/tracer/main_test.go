@@ -384,13 +384,59 @@ func TestAnalyzeErrors(t *testing.T) {
 }
 
 func TestVerifyFidelityCommand(t *testing.T) {
-	out := runOK(t, "verify", "-golden", goldenCorpusDir, "-fidelity")
+	out := runOK(t, "verify", "-golden", goldenCorpusDir, "-gate", "fidelity")
 	if !strings.Contains(out, "workload round-trip fidelity verified") || strings.Count(out, "PASS") != 3 {
 		t.Fatalf("fidelity output: %s", out)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"verify", "-fidelity", "-update"}, &buf); err == nil {
-		t.Fatal("-fidelity -update accepted")
+	if err := run([]string{"verify", "-gate", "fidelity", "-update"}, &buf); err == nil {
+		t.Fatal("-gate fidelity -update accepted")
+	}
+}
+
+// TestVerifyGateAll runs every conformance gate on the committed corpus
+// in one invocation: each gate prints its verdict line.
+func TestVerifyGateAll(t *testing.T) {
+	out := runOK(t, "verify", "-golden", goldenCorpusDir, "-gate", "all")
+	for _, want := range []string{
+		"golden corpus verified",
+		"workload round-trip fidelity verified",
+		"optimize corpus verified",
+		"cache corpus verified",
+		"slo corpus verified",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("verify -gate all output lacks %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Fatalf("verify -gate all output:\n%s", out)
+	}
+}
+
+// TestVerifyGateSelection pins the -gate parser: a comma list runs just
+// those gates, an unknown name lists the valid ones, and -update is
+// refused whenever the selection includes fidelity (it has no goldens).
+func TestVerifyGateSelection(t *testing.T) {
+	out := runOK(t, "verify", "-golden", goldenCorpusDir, "-gate", "slo, golden")
+	if !strings.Contains(out, "golden corpus verified") || !strings.Contains(out, "slo corpus verified") ||
+		strings.Contains(out, "fidelity") {
+		t.Fatalf("verify -gate slo,golden output:\n%s", out)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"verify", "-gate", "bogus"}, &buf)
+	if err == nil {
+		t.Fatal("-gate bogus accepted")
+	}
+	for _, name := range []string{"golden", "fidelity", "optimize", "cache", "slo", "all"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("-gate bogus error %q does not list %q", err, name)
+		}
+	}
+	for _, sel := range []string{"fidelity", "all", "golden,fidelity"} {
+		if err := run([]string{"verify", "-gate", sel, "-update"}, &buf); err == nil {
+			t.Errorf("-gate %s -update accepted", sel)
+		}
 	}
 }
 

@@ -111,7 +111,6 @@ func TestOptimizeBadInvocations(t *testing.T) {
 		{"optimize", "-policy", "tpm,drpm", "-space", "timeout_s=10"},
 		{"optimize", "-policy", "tpm", "-space", "timeout_s=ten"},
 		{"optimize", "-load", "0"},
-		{"verify", "-optimize", "-fidelity"},
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {
@@ -121,8 +120,8 @@ func TestOptimizeBadInvocations(t *testing.T) {
 }
 
 func TestVerifyOptimizeCommandPassesOnCommittedCorpus(t *testing.T) {
-	out := runOK(t, "verify", "-optimize", "-golden", goldenCorpusDir+"/optimize")
+	out := runOK(t, "verify", "-gate", "optimize", "-golden", goldenCorpusDir)
 	if !strings.Contains(out, "PASS") || !strings.Contains(out, "optimize corpus verified") {
-		t.Fatalf("verify -optimize output: %s", out)
+		t.Fatalf("verify -gate optimize output: %s", out)
 	}
 }

@@ -647,13 +647,13 @@ func ReadText(r io.Reader) (*Trace, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo+1, err)
 	}
 	if pending != 0 {
 		return nil, fmt.Errorf("%w: truncated final bunch (%d packages missing)", ErrBadFormat, pending)
 	}
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return t, nil
 }

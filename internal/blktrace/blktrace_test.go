@@ -320,10 +320,16 @@ func TestReadTextRejectsMalformed(t *testing.T) {
 		"truncated bunch":       "# blktrace-text v1\ndevice d\nB 0 2\n5 512 R\n",
 		"bad header":            "# blktrace-text v1\ndevice d\nB zero 1\n5 512 R\n",
 		"early new bunch":       "# blktrace-text v1\ndevice d\nB 0 2\n5 512 R\nB 10 1\n6 512 R\n",
+		"zero-size package":     "B 0 2\n0 0 W\n0 0 W",
+		"negative bunch time":   "B -1 1\n0 512 R\n",
+		"bunch time regresses":  "B 5 1\n0 512 R\nB 1 1\n0 512 R\n",
 	}
 	for name, text := range cases {
-		if _, err := ReadText(strings.NewReader(text)); err == nil {
+		_, err := ReadText(strings.NewReader(text))
+		if err == nil {
 			t.Errorf("%s: ReadText accepted malformed input", name)
+		} else if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: error not labelled ErrBadFormat: %v", name, err)
 		}
 	}
 }

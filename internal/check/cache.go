@@ -4,7 +4,7 @@
 // the committed replay goldens byte for byte), and actually worth its
 // power draw on the committed fixture (the ≥90%-hit DRAM tier strictly
 // beats the uncached baseline on IOPS/Watt at every load).  `tracer
-// verify -cache` and the cache_golden_test.go driver re-run the
+// verify -gate cache` and the cache_golden_test.go driver re-run the
 // committed fixture through CacheChecked and diff against the
 // committed golden.
 package check
@@ -22,7 +22,7 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/cache"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
+	"repro/internal/raid"
 	"repro/internal/simtime"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -32,10 +32,6 @@ import (
 // fixture (separate from replay and optimize goldens so the corpora
 // can share a testdata tree without colliding).
 const CacheGoldenSuffix = ".cache.json"
-
-// cacheWorkerCounts are the fan-out widths the determinism gate
-// cross-checks: every pair must produce byte-identical study tables.
-var cacheWorkerCounts = []int{1, 2, 8}
 
 // cacheConfig is the pinned evaluation cell for the cache gate: study
 // seed 7 and the two golden loads, on the default six-disk HDD array —
@@ -105,16 +101,9 @@ type CacheGolden struct {
 //     suite (write conservation, no dirty extent lost, backing-array
 //     algebra, energy conservation).
 func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
-	st := blktrace.ComputeStats(trace)
 	g := &CacheGolden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
+		Name:  name,
+		Trace: traceInfo(trace),
 		Kind:  cacheGoldenKind.String(),
 		Seed:  cacheConfig(1).Seed,
 		Loads: cacheConfig(1).Loads,
@@ -122,7 +111,7 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 
 	// Determinism across worker counts.
 	var blob []byte
-	for _, w := range cacheWorkerCounts {
+	for _, w := range gateWorkerCounts {
 		rows, err := experiments.CacheStudy(cacheConfig(w), cacheGoldenKind, trace, cacheStudySpecs())
 		if err != nil {
 			return nil, err
@@ -134,7 +123,7 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 		if blob == nil {
 			g.Rows, blob = rows, b
 		} else if !bytes.Equal(blob, b) {
-			return nil, fmt.Errorf("cachestudy not deterministic: workers %d and %d disagree", cacheWorkerCounts[0], w)
+			return nil, fmt.Errorf("cachestudy not deterministic: workers %d and %d disagree", gateWorkerCounts[0], w)
 		}
 	}
 
@@ -188,125 +177,48 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 // the result must be byte-identical to BuildGolden's — the pass-through
 // gate VerifyCache runs over the committed replay corpus.
 func BuildGoldenCached(name string, trace *blktrace.Trace, spec experiments.CacheSpec) (*Golden, error) {
-	st := blktrace.ComputeStats(trace)
-	g := &Golden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
-	}
-	cfg := experiments.DefaultConfig()
-	for _, kind := range goldenKinds {
-		for _, load := range goldenLoads {
-			engine, c, array, err := experiments.NewCachedSystem(cfg, kind, spec)
-			if err != nil {
-				return nil, fmt.Errorf("golden %s: %w", name, err)
-			}
-			res, err := ReplayChecked(engine, c, trace, Options{Load: load})
-			if err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
-			}
-			if err := res.Report.Err(); err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
-			}
-			st := array.Stats()
-			r := res.Replay
-			eff := metrics.NewEfficiency(r.IOPS, r.MBPS, res.MeanWatts, res.EnergyJ)
-			g.Runs = append(g.Runs, GoldenRun{
-				Kind: kind.String(), Load: load,
-				Issued: r.Issued, Completed: r.Completed, Bytes: r.Bytes,
-				IOPS: r.IOPS, MBPS: r.MBPS,
-				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
-				MaxResponseMs:  r.MaxResponse.Seconds() * 1000,
-				P50ResponseMs:  r.P50Response.Seconds() * 1000,
-				P95ResponseMs:  r.P95Response.Seconds() * 1000,
-				P99ResponseMs:  r.P99Response.Seconds() * 1000,
-				MeanWatts:      res.MeanWatts, EnergyJ: res.EnergyJ,
-				IOPSPerWatt: eff.IOPSPerWatt, MBPSPerKW: eff.MBPSPerKW,
-				DiskReads: st.DiskReads, DiskWrites: st.DiskWrites,
-				ParityReads: st.ParityReads, ParityWrites: st.ParityWrites,
-			})
+	return buildGolden(name, trace, func(cfg experiments.Config, kind experiments.ArrayKind, load float64) (*Result, *raid.Array, error) {
+		engine, c, array, err := experiments.NewCachedSystem(cfg, kind, spec)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	return g, nil
+		res, err := ReplayChecked(engine, c, trace, Options{Load: load})
+		return res, array, err
+	})
 }
 
 // CompareCacheGolden diffs got against want: strings and integers
 // exactly, floats within tol.  One human-readable line per mismatch.
 func CompareCacheGolden(want, got *CacheGolden, tol float64) []string {
-	var diffs []string
-	intf := func(field string, w, g int64) {
-		if w != g {
-			diffs = append(diffs, fmt.Sprintf("%s: want %d, got %d", field, w, g))
-		}
-	}
-	flt := func(field string, w, g float64) {
-		if !withinTol(w, g, tol) {
-			diffs = append(diffs, fmt.Sprintf("%s: want %.9g, got %.9g (tol %g)", field, w, g, tol))
-		}
-	}
-	if want.Trace.Device != got.Trace.Device {
-		diffs = append(diffs, fmt.Sprintf("trace.device: want %q, got %q", want.Trace.Device, got.Trace.Device))
-	}
-	intf("trace.bunches", int64(want.Trace.Bunches), int64(got.Trace.Bunches))
-	intf("trace.ios", int64(want.Trace.IOs), int64(got.Trace.IOs))
-	intf("trace.total_bytes", want.Trace.TotalBytes, got.Trace.TotalBytes)
-	intf("trace.duration_ns", want.Trace.DurationNs, got.Trace.DurationNs)
-	if want.Kind != got.Kind {
-		diffs = append(diffs, fmt.Sprintf("kind: want %q, got %q", want.Kind, got.Kind))
-	}
-	intf("seed", int64(want.Seed), int64(got.Seed))
+	d := &differ{tol: tol}
+	d.trace(want.Trace, got.Trace)
+	d.strf("kind", want.Kind, got.Kind)
+	d.intf("seed", int64(want.Seed), int64(got.Seed))
 	if len(want.Rows) != len(got.Rows) {
-		diffs = append(diffs, fmt.Sprintf("rows: want %d, got %d", len(want.Rows), len(got.Rows)))
-		return diffs
+		d.addf("rows: want %d, got %d", len(want.Rows), len(got.Rows))
+		return d.lines
 	}
 	for i := range want.Rows {
 		w, g := &want.Rows[i], &got.Rows[i]
 		pfx := fmt.Sprintf("rows[%d] (%s load %v)", i, w.Spec, w.Load)
 		if w.Spec != g.Spec || w.Tier != g.Tier {
-			diffs = append(diffs, fmt.Sprintf("%s: spec changed to %s/%s", pfx, g.Spec, g.Tier))
+			d.addf("%s: spec changed to %s/%s", pfx, g.Spec, g.Tier)
 			continue
 		}
-		flt(pfx+".load", w.Load, g.Load)
-		flt(pfx+".hit_rate", w.HitRate, g.HitRate)
-		flt(pfx+".iops", w.IOPS, g.IOPS)
-		flt(pfx+".mean_watts", w.MeanWatts, g.MeanWatts)
-		flt(pfx+".iops_per_watt", w.IOPSPerWatt, g.IOPSPerWatt)
-		flt(pfx+".mean_ms", w.MeanMs, g.MeanMs)
-		flt(pfx+".p99_ms", w.P99Ms, g.P99Ms)
-		flt(pfx+".energy_j", w.EnergyJ, g.EnergyJ)
-		intf(pfx+".hits", w.Hits, g.Hits)
-		intf(pfx+".misses", w.Misses, g.Misses)
-		intf(pfx+".writebacks", w.Writebacks, g.Writebacks)
-		intf(pfx+".writeback_bytes", w.WritebackBytes, g.WritebackBytes)
+		d.fltf(pfx+".load", w.Load, g.Load)
+		d.fltf(pfx+".hit_rate", w.HitRate, g.HitRate)
+		d.fltf(pfx+".iops", w.IOPS, g.IOPS)
+		d.fltf(pfx+".mean_watts", w.MeanWatts, g.MeanWatts)
+		d.fltf(pfx+".iops_per_watt", w.IOPSPerWatt, g.IOPSPerWatt)
+		d.fltf(pfx+".mean_ms", w.MeanMs, g.MeanMs)
+		d.fltf(pfx+".p99_ms", w.P99Ms, g.P99Ms)
+		d.fltf(pfx+".energy_j", w.EnergyJ, g.EnergyJ)
+		d.intf(pfx+".hits", w.Hits, g.Hits)
+		d.intf(pfx+".misses", w.Misses, g.Misses)
+		d.intf(pfx+".writebacks", w.Writebacks, g.Writebacks)
+		d.intf(pfx+".writeback_bytes", w.WritebackBytes, g.WritebackBytes)
 	}
-	return diffs
-}
-
-// ReadCacheGolden loads a committed cache golden document.
-func ReadCacheGolden(path string) (*CacheGolden, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g CacheGolden
-	if err := json.Unmarshal(blob, &g); err != nil {
-		return nil, fmt.Errorf("cache golden %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// WriteCacheGolden commits a cache golden document.
-func WriteCacheGolden(path string, g *CacheGolden) error {
-	blob, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return d.lines
 }
 
 // VerifyCache runs the cache conformance pass:
@@ -322,21 +234,7 @@ func WriteCacheGolden(path string, g *CacheGolden) error {
 // On the first fixture diff failure a full telemetry export of the
 // DRAM gate cell lands in opts.TelemetryDir (the artifact CI uploads).
 func VerifyCache(dir, corpusDir string, opts VerifyOptions, out io.Writer) error {
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	failed, total := 0, 0
-	var firstErr error
-	fail := func(name string, err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
-	}
-
-	// Pass-through gate over the replay corpus.
+	t := &tally{out: out}
 	if corpusDir != "" {
 		paths, err := filepath.Glob(filepath.Join(corpusDir, "*"+TraceSuffix))
 		if err != nil {
@@ -344,100 +242,58 @@ func VerifyCache(dir, corpusDir string, opts VerifyOptions, out io.Writer) error
 		}
 		sort.Strings(paths)
 		for _, tracePath := range paths {
-			name := "passthrough/" + strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-			goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix
-			want, err := os.ReadFile(goldenPath)
-			if err != nil {
-				continue // trace without a committed golden; nothing to cross-check
-			}
-			total++
-			trace, err := LoadFixtureTrace(tracePath)
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			g, err := BuildGoldenCached(strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix), trace, experiments.CacheSpec{})
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			got, err := json.MarshalIndent(g, "", "  ")
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			got = append(got, '\n')
-			if !bytes.Equal(want, got) {
-				fail(name, fmt.Errorf("zero-capacity cache output differs from committed %s", filepath.Base(goldenPath)))
-				continue
-			}
-			fmt.Fprintf(out, "PASS %s (byte-identical)\n", name)
+			verifyPassThrough(tracePath, t)
 		}
 	}
-
-	// Fixture gate.
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
+	err := fixtureGate[*CacheGolden]{
+		label:     "verify cache",
+		suffix:    CacheGoldenSuffix,
+		bootstrap: CacheFixtureTrace,
+		build:     CacheChecked,
+		compare:   CompareCacheGolden,
+		summary:   func(g *CacheGolden) string { return fmt.Sprintf("%d rows", len(g.Rows)) },
+		artifact: func(dir, name string, trace *blktrace.Trace, _ *CacheGolden, out io.Writer) {
+			writeCacheFailureTelemetry(dir, name, trace, out)
+		},
+	}.run(dir, opts, t)
 	if err != nil {
 		return err
 	}
-	if len(paths) == 0 && opts.Update {
-		path := filepath.Join(dir, "idle-web"+TraceSuffix)
-		if err := writeFixtureTrace(path, CacheFixtureTrace()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "CREATED %s\n", path)
-		paths = []string{path}
+	return t.err("verify cache", "checks")
+}
+
+// verifyPassThrough rebuilds one committed replay golden through a
+// zero-capacity cache and requires the committed bytes back.  A trace
+// without a committed golden has nothing to cross-check.
+func verifyPassThrough(tracePath string, t *tally) {
+	base := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
+	goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		return
 	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("verify cache: no %s fixtures under %s (run with -update to bootstrap)", TraceSuffix, dir)
+	t.total++
+	name := "passthrough/" + base
+	trace, err := LoadFixtureTrace(tracePath)
+	if err != nil {
+		t.fail(name, err)
+		return
 	}
-	artifactDone := false
-	for _, tracePath := range paths {
-		total++
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + CacheGoldenSuffix
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		got, err := CacheChecked(name, trace)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		if opts.Update {
-			if err := WriteCacheGolden(goldenPath, got); err != nil {
-				fail(name, err)
-				continue
-			}
-			fmt.Fprintf(out, "UPDATED %s (%d rows)\n", name, len(got.Rows))
-			continue
-		}
-		want, err := ReadCacheGolden(goldenPath)
-		if err != nil {
-			fail(name, fmt.Errorf("%w (run with -update to create)", err))
-			continue
-		}
-		diffs := CompareCacheGolden(want, got, tol)
-		if len(diffs) == 0 {
-			fmt.Fprintf(out, "PASS %s (%d rows)\n", name, len(got.Rows))
-			continue
-		}
-		fail(name, fmt.Errorf("%d mismatch(es)", len(diffs)))
-		for _, d := range diffs {
-			fmt.Fprintf(out, "  %s\n", d)
-		}
-		if opts.TelemetryDir != "" && !artifactDone {
-			artifactDone = true
-			writeCacheFailureTelemetry(opts.TelemetryDir, name, trace, out)
-		}
+	g, err := BuildGoldenCached(base, trace, experiments.CacheSpec{})
+	if err != nil {
+		t.fail(name, err)
+		return
 	}
-	if failed > 0 {
-		return fmt.Errorf("verify cache: %d of %d checks failed: %w", failed, total, firstErr)
+	got, err := marshalGolden(g)
+	if err != nil {
+		t.fail(name, err)
+		return
 	}
-	return nil
+	if !bytes.Equal(want, got) {
+		t.fail(name, fmt.Errorf("zero-capacity cache output differs from committed %s", filepath.Base(goldenPath)))
+		return
+	}
+	fmt.Fprintf(t.out, "PASS %s (byte-identical)\n", name)
 }
 
 // writeCacheFailureTelemetry re-runs a failing fixture's DRAM gate

@@ -30,7 +30,7 @@ func TestCacheCorpus(t *testing.T) {
 // column hits >= 90% and strictly beats the uncached baseline on
 // IOPS/Watt.
 func TestCacheDRAMBeatsUncached(t *testing.T) {
-	g, err := ReadCacheGolden(filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
+	g, err := readGolden[*CacheGolden](filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCacheDRAMBeatsUncached(t *testing.T) {
 // TestCompareCacheGoldenCatchesDrift tampers with every field family of
 // a loaded golden and requires a labelled diff per tamper.
 func TestCompareCacheGoldenCatchesDrift(t *testing.T) {
-	g, err := ReadCacheGolden(filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
+	g, err := readGolden[*CacheGolden](filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCompareCacheGoldenCatchesDrift(t *testing.T) {
 	}
 	for _, tc := range tampers {
 		t.Run(tc.name, func(t *testing.T) {
-			bad, err := ReadCacheGolden(filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
+			bad, err := readGolden[*CacheGolden](filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
 			if err != nil {
 				t.Fatal(err)
 			}

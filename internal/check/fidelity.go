@@ -9,8 +9,6 @@ package check
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/blktrace"
@@ -134,43 +132,26 @@ func RoundTripFidelity(trace *blktrace.Trace, name string, kind experiments.Arra
 
 // VerifyFidelity runs the round trip for every *.trace.txt fixture
 // under dir on the golden HDD array, printing one PASS/FAIL line per
-// fixture (with per-metric detail on failure) to out.  The returned
-// error is non-nil when any fixture fails or the corpus is empty.
+// fixture (with per-metric detail on failure) to out.  A fixture that
+// fails to load or replay is tallied like a metric disagreement and the
+// pass moves on; the returned error is non-nil when any fixture fails
+// or the corpus is empty.
 func VerifyFidelity(dir string, seed uint64, tol float64, out io.Writer) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
-	if err != nil {
-		return err
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("fidelity: no %s fixtures under %s", TraceSuffix, dir)
-	}
-	failed := 0
-	for _, tracePath := range paths {
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			return fmt.Errorf("fidelity: %w", err)
-		}
-		res, err := RoundTripFidelity(trace, name, experiments.HDDArray, seed, tol)
-		if err != nil {
-			return fmt.Errorf("fidelity: %w", err)
-		}
-		if err := res.Err(); err != nil {
-			failed++
-			fmt.Fprintf(out, "FAIL %s\n", err)
-			continue
-		}
-		var worst float64
-		for _, c := range res.Cells {
-			if c.Err > worst {
-				worst = c.Err
+	return fixtureGate[*FidelityResult]{
+		label: "fidelity",
+		build: func(name string, trace *blktrace.Trace) (*FidelityResult, error) {
+			res, err := RoundTripFidelity(trace, name, experiments.HDDArray, seed, tol)
+			if err != nil {
+				return nil, err
 			}
-		}
-		fmt.Fprintf(out, "PASS %s (worst metric err %.2f%%)\n", name, worst*100)
-	}
-	if failed > 0 {
-		return fmt.Errorf("fidelity: %d of %d fixtures failed", failed, len(paths))
-	}
-	return nil
+			return res, res.Err()
+		},
+		summary: func(res *FidelityResult) string {
+			var worst float64
+			for _, c := range res.Cells {
+				worst = max(worst, c.Err)
+			}
+			return fmt.Sprintf("worst metric err %.2f%%", worst*100)
+		},
+	}.verify(dir, VerifyOptions{}, out)
 }

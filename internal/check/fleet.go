@@ -10,8 +10,6 @@ package check
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -59,28 +57,29 @@ func FleetChecked(arrays, workers int) (*fleet.Result, []byte, error) {
 	if res.Rejected == 0 {
 		return nil, nil, fmt.Errorf("fleet: canonical workload should exercise rejection accounting")
 	}
-	for i, e := range f.Engines() {
-		if n := e.Pending(); n != 0 {
-			return nil, nil, fmt.Errorf("fleet: array %d: %d events pending after run", i, n)
-		}
-	}
-	for i, a := range f.Arrays() {
-		if err := a.CheckInvariants(); err != nil {
-			return nil, nil, fmt.Errorf("fleet: array %d: %w", i, err)
-		}
+	if err := fleetDrained(f); err != nil {
+		return nil, nil, fmt.Errorf("fleet: %w", err)
 	}
 
-	dir, err := os.MkdirTemp("", "check-fleet")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(dir)
-	if err := set.WriteDir(dir); err != nil {
-		return nil, nil, err
-	}
-	summary, err := os.ReadFile(filepath.Join(dir, telemetry.SummaryFile))
+	summary, err := exportSummary(set)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, summary, nil
+}
+
+// fleetDrained requires every member engine to have drained and every
+// member array to pass its invariant suite after a run.
+func fleetDrained(f *fleet.Fleet) error {
+	for i, e := range f.Engines() {
+		if n := e.Pending(); n != 0 {
+			return fmt.Errorf("array %d: %d events pending after run", i, n)
+		}
+	}
+	for i, a := range f.Arrays() {
+		if err := a.CheckInvariants(); err != nil {
+			return fmt.Errorf("array %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -6,18 +6,15 @@
 package check
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/raid"
 	"repro/internal/telemetry"
 )
 
@@ -90,29 +87,33 @@ type Golden struct {
 // document to commit.  Invariant violations fail the build: a golden
 // that does not conform to the physics must never be committed.
 func BuildGolden(name string, trace *blktrace.Trace) (*Golden, error) {
-	st := blktrace.ComputeStats(trace)
-	g := &Golden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
-	}
+	return buildGolden(name, trace, func(cfg experiments.Config, kind experiments.ArrayKind, load float64) (*Result, *raid.Array, error) {
+		engine, array, err := experiments.NewSystem(cfg, kind)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := ReplayChecked(engine, array, trace, Options{Load: load})
+		return res, array, err
+	})
+}
+
+// goldenCell replays one golden (kind, load) cell with the invariant
+// suite armed and returns the checked result plus the array whose
+// counters the golden row reads.
+type goldenCell func(cfg experiments.Config, kind experiments.ArrayKind, load float64) (*Result, *raid.Array, error)
+
+// buildGolden runs every golden cell through cell and assembles the
+// document; the serial, cached and sharded builds differ only in cell.
+func buildGolden(name string, trace *blktrace.Trace, cell goldenCell) (*Golden, error) {
+	g := &Golden{Name: name, Trace: traceInfo(trace)}
 	cfg := experiments.DefaultConfig()
 	for _, kind := range goldenKinds {
 		for _, load := range goldenLoads {
-			engine, array, err := experiments.NewSystem(cfg, kind)
-			if err != nil {
-				return nil, fmt.Errorf("golden %s: %w", name, err)
+			res, array, err := cell(cfg, kind, load)
+			if err == nil {
+				err = res.Report.Err()
 			}
-			res, err := ReplayChecked(engine, array, trace, Options{Load: load})
 			if err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
-			}
-			if err := res.Report.Err(); err != nil {
 				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
 			}
 			st := array.Stats()
@@ -155,55 +156,39 @@ func withinTol(a, b, tol float64) bool {
 // match exactly, floats within tol.  It returns one human-readable line
 // per mismatch; an empty slice means the documents agree.
 func CompareGolden(want, got *Golden, tol float64) []string {
-	var diffs []string
-	intf := func(field string, w, g int64) {
-		if w != g {
-			diffs = append(diffs, fmt.Sprintf("%s: want %d, got %d", field, w, g))
-		}
-	}
-	fltf := func(field string, w, g float64) {
-		if !withinTol(w, g, tol) {
-			diffs = append(diffs, fmt.Sprintf("%s: want %.9g, got %.9g (tol %g)", field, w, g, tol))
-		}
-	}
-	if want.Trace.Device != got.Trace.Device {
-		diffs = append(diffs, fmt.Sprintf("trace.device: want %q, got %q", want.Trace.Device, got.Trace.Device))
-	}
-	intf("trace.bunches", int64(want.Trace.Bunches), int64(got.Trace.Bunches))
-	intf("trace.ios", int64(want.Trace.IOs), int64(got.Trace.IOs))
-	intf("trace.total_bytes", want.Trace.TotalBytes, got.Trace.TotalBytes)
-	intf("trace.duration_ns", want.Trace.DurationNs, got.Trace.DurationNs)
+	d := &differ{tol: tol}
+	d.trace(want.Trace, got.Trace)
 	if len(want.Runs) != len(got.Runs) {
-		diffs = append(diffs, fmt.Sprintf("runs: want %d, got %d", len(want.Runs), len(got.Runs)))
-		return diffs
+		d.addf("runs: want %d, got %d", len(want.Runs), len(got.Runs))
+		return d.lines
 	}
 	for i := range want.Runs {
 		w, g := &want.Runs[i], &got.Runs[i]
 		pfx := fmt.Sprintf("runs[%d] (%s load %v)", i, w.Kind, w.Load)
 		if w.Kind != g.Kind || w.Load != g.Load {
-			diffs = append(diffs, fmt.Sprintf("%s: cell identity changed to (%s, %v)", pfx, g.Kind, g.Load))
+			d.addf("%s: cell identity changed to (%s, %v)", pfx, g.Kind, g.Load)
 			continue
 		}
-		intf(pfx+".issued", w.Issued, g.Issued)
-		intf(pfx+".completed", w.Completed, g.Completed)
-		intf(pfx+".bytes", w.Bytes, g.Bytes)
-		fltf(pfx+".iops", w.IOPS, g.IOPS)
-		fltf(pfx+".mbps", w.MBPS, g.MBPS)
-		fltf(pfx+".mean_response_ms", w.MeanResponseMs, g.MeanResponseMs)
-		fltf(pfx+".max_response_ms", w.MaxResponseMs, g.MaxResponseMs)
-		fltf(pfx+".p50_response_ms", w.P50ResponseMs, g.P50ResponseMs)
-		fltf(pfx+".p95_response_ms", w.P95ResponseMs, g.P95ResponseMs)
-		fltf(pfx+".p99_response_ms", w.P99ResponseMs, g.P99ResponseMs)
-		fltf(pfx+".mean_watts", w.MeanWatts, g.MeanWatts)
-		fltf(pfx+".energy_j", w.EnergyJ, g.EnergyJ)
-		fltf(pfx+".iops_per_watt", w.IOPSPerWatt, g.IOPSPerWatt)
-		fltf(pfx+".mbps_per_kw", w.MBPSPerKW, g.MBPSPerKW)
-		intf(pfx+".disk_reads", w.DiskReads, g.DiskReads)
-		intf(pfx+".disk_writes", w.DiskWrites, g.DiskWrites)
-		intf(pfx+".parity_reads", w.ParityReads, g.ParityReads)
-		intf(pfx+".parity_writes", w.ParityWrites, g.ParityWrites)
+		d.intf(pfx+".issued", w.Issued, g.Issued)
+		d.intf(pfx+".completed", w.Completed, g.Completed)
+		d.intf(pfx+".bytes", w.Bytes, g.Bytes)
+		d.fltf(pfx+".iops", w.IOPS, g.IOPS)
+		d.fltf(pfx+".mbps", w.MBPS, g.MBPS)
+		d.fltf(pfx+".mean_response_ms", w.MeanResponseMs, g.MeanResponseMs)
+		d.fltf(pfx+".max_response_ms", w.MaxResponseMs, g.MaxResponseMs)
+		d.fltf(pfx+".p50_response_ms", w.P50ResponseMs, g.P50ResponseMs)
+		d.fltf(pfx+".p95_response_ms", w.P95ResponseMs, g.P95ResponseMs)
+		d.fltf(pfx+".p99_response_ms", w.P99ResponseMs, g.P99ResponseMs)
+		d.fltf(pfx+".mean_watts", w.MeanWatts, g.MeanWatts)
+		d.fltf(pfx+".energy_j", w.EnergyJ, g.EnergyJ)
+		d.fltf(pfx+".iops_per_watt", w.IOPSPerWatt, g.IOPSPerWatt)
+		d.fltf(pfx+".mbps_per_kw", w.MBPSPerKW, g.MBPSPerKW)
+		d.intf(pfx+".disk_reads", w.DiskReads, g.DiskReads)
+		d.intf(pfx+".disk_writes", w.DiskWrites, g.DiskWrites)
+		d.intf(pfx+".parity_reads", w.ParityReads, g.ParityReads)
+		d.intf(pfx+".parity_writes", w.ParityWrites, g.ParityWrites)
 	}
-	return diffs
+	return d.lines
 }
 
 // LoadFixtureTrace reads one text-format fixture trace, wrapping decode
@@ -222,39 +207,17 @@ func LoadFixtureTrace(path string) (*blktrace.Trace, error) {
 	return tr, nil
 }
 
-// ReadGolden loads a committed golden document.
-func ReadGolden(path string) (*Golden, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g Golden
-	if err := json.Unmarshal(blob, &g); err != nil {
-		return nil, fmt.Errorf("golden %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// WriteGolden commits a golden document.
-func WriteGolden(path string, g *Golden) error {
-	blob, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// VerifyOptions configure a golden-corpus verification pass.
+// VerifyOptions configure a conformance-gate pass.
 type VerifyOptions struct {
-	// Update rewrites the committed JSON instead of diffing.
+	// Update rewrites the committed goldens instead of diffing.
 	Update bool
 	// Tol is the relative float tolerance (0 = DefaultTol).
 	Tol float64
-	// TelemetryDir, when non-empty, receives a full telemetry export
-	// (replay spans, time series, power CSV) for the first fixture
-	// that fails the diff, re-run at the first golden cell — the
-	// artifact CI uploads so a conformance break can be inspected in
-	// Perfetto without re-running anything locally.
+	// TelemetryDir, when non-empty, receives the gate's diagnostics for
+	// its first failure: the artifact CI uploads, so a conformance break
+	// can be inspected without re-running anything locally.  The replay
+	// corpus exports full telemetry (replay spans, time series, power
+	// CSV) of the failing fixture re-run at the first golden cell.
 	TelemetryDir string
 }
 
@@ -262,77 +225,21 @@ type VerifyOptions struct {
 // the rebuilt output against the committed *.golden.json.  With
 // opts.Update it rewrites the JSON instead of diffing.  Progress and
 // diffs go to out (one PASS/FAIL/UPDATED line per fixture).  A fixture
-// that fails to load, build or diff no longer aborts the pass: the
+// that fails to load, build or diff never aborts the pass: the
 // remaining fixtures still run, and the returned error is a one-line
 // summary counting the failures (wrapping the first underlying error,
 // so callers can still errors.Is/As into it).
 func VerifyGolden(dir string, opts VerifyOptions, out io.Writer) error {
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
-	if err != nil {
-		return err
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("verify: no %s fixtures under %s", TraceSuffix, dir)
-	}
-	failed := 0
-	var firstErr error
-	fail := func(name string, err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
-	}
-	telemetryDone := false
-	for _, tracePath := range paths {
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		got, err := BuildGolden(name, trace)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		if opts.Update {
-			if err := WriteGolden(goldenPath, got); err != nil {
-				fail(name, err)
-				continue
-			}
-			fmt.Fprintf(out, "UPDATED %s (%d runs)\n", name, len(got.Runs))
-			continue
-		}
-		want, err := ReadGolden(goldenPath)
-		if err != nil {
-			fail(name, fmt.Errorf("%w (run with -update to create)", err))
-			continue
-		}
-		diffs := CompareGolden(want, got, tol)
-		if len(diffs) == 0 {
-			fmt.Fprintf(out, "PASS %s (%d runs)\n", name, len(got.Runs))
-			continue
-		}
-		fail(name, fmt.Errorf("%d mismatch(es)", len(diffs)))
-		for _, d := range diffs {
-			fmt.Fprintf(out, "  %s\n", d)
-		}
-		if opts.TelemetryDir != "" && !telemetryDone {
-			telemetryDone = true
-			writeFailureTelemetry(opts.TelemetryDir, name, trace, out)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("verify: %d of %d fixtures failed: %w", failed, len(paths), firstErr)
-	}
-	return nil
+	return fixtureGate[*Golden]{
+		label:   "verify",
+		suffix:  GoldenSuffix,
+		build:   BuildGolden,
+		compare: CompareGolden,
+		summary: func(g *Golden) string { return fmt.Sprintf("%d runs", len(g.Runs)) },
+		artifact: func(dir, name string, trace *blktrace.Trace, _ *Golden, out io.Writer) {
+			writeFailureTelemetry(dir, name, trace, out)
+		},
+	}.verify(dir, opts, out)
 }
 
 // writeFailureTelemetry re-runs a failing fixture's first golden cell

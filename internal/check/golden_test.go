@@ -80,12 +80,12 @@ func TestGoldenUpdateRegenerates(t *testing.T) {
 	if err != nil || len(goldens) == 0 {
 		t.Fatalf("no goldens written: %v", err)
 	}
-	g, err := ReadGolden(goldens[0])
+	g, err := readGolden[*Golden](goldens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Runs[0].IOPS *= 1.01
-	if err := WriteGolden(goldens[0], g); err != nil {
+	if err := writeGolden(goldens[0], g); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
@@ -191,12 +191,12 @@ func TestVerifyGoldenFailureTelemetry(t *testing.T) {
 	if err != nil || len(goldens) == 0 {
 		t.Fatalf("no goldens written: %v", err)
 	}
-	g, err := ReadGolden(goldens[0])
+	g, err := readGolden[*Golden](goldens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Runs[0].Completed++
-	if err := WriteGolden(goldens[0], g); err != nil {
+	if err := writeGolden(goldens[0], g); err != nil {
 		t.Fatal(err)
 	}
 	telDir := filepath.Join(t.TempDir(), "telemetry")

@@ -31,7 +31,7 @@ func TestOptimizeCorpus(t *testing.T) {
 // searched winner's fitness strictly exceeds the paper-default
 // configuration's.
 func TestOptimizeWinnerBeatsBaseline(t *testing.T) {
-	g, err := ReadOptimizeGolden(filepath.Join("testdata/golden/optimize", "idle-web"+OptimizeGoldenSuffix))
+	g, err := readGolden[*OptimizeGolden](filepath.Join("testdata/golden/optimize", "idle-web"+OptimizeGoldenSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,12 @@ func TestOptimizeUpdateBootstraps(t *testing.T) {
 	}
 
 	goldenPath := filepath.Join(dir, "idle-web"+OptimizeGoldenSuffix)
-	g, err := ReadOptimizeGolden(goldenPath)
+	g, err := readGolden[*OptimizeGolden](goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Policies[0].Best.Fitness *= 1.01
-	if err := WriteOptimizeGolden(goldenPath, g); err != nil {
+	if err := writeGolden(goldenPath, g); err != nil {
 		t.Fatal(err)
 	}
 	artDir := filepath.Join(t.TempDir(), "artifacts")

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/raid"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -59,49 +58,18 @@ func ReplayShardedChecked(engines []*simtime.Engine, array *raid.Array, trace *b
 // the given shard count.  The document it returns must equal the serial
 // document exactly — callers diff the two byte-for-byte.
 func BuildGoldenSharded(name string, trace *blktrace.Trace, shards int) (*Golden, error) {
-	st := blktrace.ComputeStats(trace)
-	g := &Golden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
-	}
-	cfg := experiments.DefaultConfig()
-	for _, kind := range goldenKinds {
-		for _, load := range goldenLoads {
-			engines, array, err := experiments.NewSystemSharded(cfg, kind, shards)
-			if err != nil {
-				return nil, fmt.Errorf("golden %s: %w", name, err)
-			}
-			res, err := ReplayShardedChecked(engines, array, trace, Options{Load: load})
-			if err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v (%d shards): %w", name, kind, load, shards, err)
-			}
-			if err := res.Report.Err(); err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v (%d shards): %w", name, kind, load, shards, err)
-			}
-			st := array.Stats()
-			r := res.Replay
-			eff := metrics.NewEfficiency(r.IOPS, r.MBPS, res.MeanWatts, res.EnergyJ)
-			g.Runs = append(g.Runs, GoldenRun{
-				Kind: kind.String(), Load: load,
-				Issued: r.Issued, Completed: r.Completed, Bytes: r.Bytes,
-				IOPS: r.IOPS, MBPS: r.MBPS,
-				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
-				MaxResponseMs:  r.MaxResponse.Seconds() * 1000,
-				P50ResponseMs:  r.P50Response.Seconds() * 1000,
-				P95ResponseMs:  r.P95Response.Seconds() * 1000,
-				P99ResponseMs:  r.P99Response.Seconds() * 1000,
-				MeanWatts:      res.MeanWatts, EnergyJ: res.EnergyJ,
-				IOPSPerWatt: eff.IOPSPerWatt, MBPSPerKW: eff.MBPSPerKW,
-				DiskReads: st.DiskReads, DiskWrites: st.DiskWrites,
-				ParityReads: st.ParityReads, ParityWrites: st.ParityWrites,
-			})
+	return buildGolden(name, trace, func(cfg experiments.Config, kind experiments.ArrayKind, load float64) (*Result, *raid.Array, error) {
+		engines, array, err := experiments.NewSystemSharded(cfg, kind, shards)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	return g, nil
+		res, err := ReplayShardedChecked(engines, array, trace, Options{Load: load})
+		if err == nil {
+			err = res.Report.Err()
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%d shards: %w", shards, err)
+		}
+		return res, array, nil
+	})
 }

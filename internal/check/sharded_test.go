@@ -37,7 +37,7 @@ func TestShardedGoldenByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			committed, err := ReadGolden(strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix)
+			committed, err := readGolden[*Golden](strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix)
 			if err != nil {
 				t.Fatal(err)
 			}

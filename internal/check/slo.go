@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -34,11 +35,6 @@ const (
 	SLOAlertsGolden   = "rebuild-storm.alerts.jsonl"
 	SLOSnapshotGolden = "rebuild-storm.slo.json"
 )
-
-// sloWorkerCounts are the fan-out widths the determinism gate
-// cross-checks: every pair must produce byte-identical alert streams
-// and snapshots.
-var sloWorkerCounts = []int{1, 2, 8}
 
 // StormSpec is the canonical rebuild-storm SLO spec: one tenant class
 // covering the whole stream with a p95 latency objective, windows tight
@@ -114,15 +110,8 @@ func SLOChecked(spec slo.Spec, workers int) (*SLORun, error) {
 		return nil, fmt.Errorf("slo: offered %d, admitted %d, completed %d diverge without admission control",
 			res.Offered, res.Admitted, res.Completed)
 	}
-	for i, e := range f.Engines() {
-		if n := e.Pending(); n != 0 {
-			return nil, fmt.Errorf("slo: array %d: %d events pending after run", i, n)
-		}
-	}
-	for i, a := range f.Arrays() {
-		if err := a.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("slo: array %d: %w", i, err)
-		}
+	if err := fleetDrained(f); err != nil {
+		return nil, fmt.Errorf("slo: %w", err)
 	}
 	if len(res.Faults) != 1 {
 		return nil, fmt.Errorf("slo: %d fault results, want 1", len(res.Faults))
@@ -239,7 +228,7 @@ func checkPromAgainstSummary(prom, summaryJSON []byte) error {
 // back, so the gate compares exactly what an operator's artifact
 // directory would hold.
 func exportSummary(set *telemetry.Set) ([]byte, error) {
-	dir, err := os.MkdirTemp("", "check-slo")
+	dir, err := os.MkdirTemp("", "check-summary")
 	if err != nil {
 		return nil, err
 	}
@@ -264,67 +253,63 @@ func VerifySLO(dir string, opts VerifyOptions, out io.Writer) error {
 		return err
 	}
 
-	failed := 0
-	var firstErr error
-	fail := func(name string, err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
-	}
-
-	runs := make([]*SLORun, 0, len(sloWorkerCounts))
-	for _, w := range sloWorkerCounts {
+	t := &tally{out: out}
+	runs := make([]*SLORun, 0, len(gateWorkerCounts))
+	for _, w := range gateWorkerCounts {
+		t.total++
 		run, err := SLOChecked(spec, w)
 		if err != nil {
-			fail(fmt.Sprintf("storm/workers=%d", w), err)
+			t.fail(fmt.Sprintf("storm/workers=%d", w), err)
 			continue
 		}
 		runs = append(runs, run)
 		fmt.Fprintf(out, "PASS storm/workers=%d (%d completions, %d alert(s), rebuilt by %v)\n",
 			w, run.Result.Completed, countAlerts(run.Alerts), run.Result.Faults[0].RecoveredAt)
 	}
-	if len(runs) == len(sloWorkerCounts) {
+	if len(runs) == len(gateWorkerCounts) {
 		base := runs[0]
 		for i, run := range runs[1:] {
-			w := sloWorkerCounts[i+1]
+			t.total++
+			var differs []string
 			if !bytes.Equal(base.Alerts, run.Alerts) {
-				fail(fmt.Sprintf("determinism/workers=%d", w),
-					fmt.Errorf("alerts.jsonl differs from workers=%d", sloWorkerCounts[0]))
+				differs = append(differs, "alerts.jsonl")
 			}
 			if !bytes.Equal(base.Snapshot, run.Snapshot) {
-				fail(fmt.Sprintf("determinism/workers=%d", w),
-					fmt.Errorf("slo snapshot differs from workers=%d", sloWorkerCounts[0]))
+				differs = append(differs, "slo snapshot")
+			}
+			if len(differs) > 0 {
+				t.fail(fmt.Sprintf("determinism/workers=%d", gateWorkerCounts[i+1]),
+					fmt.Errorf("%s differs from workers=%d", strings.Join(differs, " and "), gateWorkerCounts[0]))
 			}
 		}
-		if failed == 0 {
-			fmt.Fprintf(out, "PASS determinism (alerts and snapshot byte-identical at workers %v)\n", sloWorkerCounts)
+		if t.failed == 0 {
+			fmt.Fprintf(out, "PASS determinism (alerts and snapshot byte-identical at workers %v)\n", gateWorkerCounts)
 		}
 
-		alertsPath := filepath.Join(dir, SLOAlertsGolden)
-		snapPath := filepath.Join(dir, SLOSnapshotGolden)
+		goldens := []struct {
+			file string
+			blob []byte
+		}{{SLOAlertsGolden, base.Alerts}, {SLOSnapshotGolden, base.Snapshot}}
 		if opts.Update {
-			if err := writeGoldenBytes(alertsPath, base.Alerts); err != nil {
-				return err
-			}
-			if err := writeGoldenBytes(snapPath, base.Snapshot); err != nil {
-				return err
+			for _, g := range goldens {
+				if err := writeGoldenBytes(filepath.Join(dir, g.file), g.blob); err != nil {
+					return err
+				}
 			}
 			fmt.Fprintf(out, "UPDATED %s, %s\n", SLOAlertsGolden, SLOSnapshotGolden)
 		} else {
-			if err := diffGoldenBytes(alertsPath, base.Alerts); err != nil {
-				fail("golden/"+SLOAlertsGolden, err)
+			for _, g := range goldens {
+				t.total++
+				if err := diffGoldenBytes(filepath.Join(dir, g.file), g.blob); err != nil {
+					t.fail("golden/"+g.file, err)
+				}
 			}
-			if err := diffGoldenBytes(snapPath, base.Snapshot); err != nil {
-				fail("golden/"+SLOSnapshotGolden, err)
-			}
-			if failed == 0 {
+			if t.failed == 0 {
 				fmt.Fprintf(out, "PASS golden (alert stream and snapshot match the committed corpus)\n")
 			}
 		}
 
-		if failed > 0 && opts.TelemetryDir != "" {
+		if t.failed > 0 && opts.TelemetryDir != "" {
 			if err := exportSLOFailure(opts.TelemetryDir, spec, base); err != nil {
 				fmt.Fprintf(out, "telemetry export failed: %v\n", err)
 			} else {
@@ -332,11 +317,7 @@ func VerifySLO(dir string, opts VerifyOptions, out io.Writer) error {
 			}
 		}
 	}
-
-	if failed > 0 {
-		return fmt.Errorf("slo verify: %d gate(s) failed: %w", failed, firstErr)
-	}
-	return nil
+	return t.err("slo verify", "checks")
 }
 
 // loadOrInitStormSpec loads the committed spec fixture, writing the

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -483,7 +484,11 @@ func Dial(generatorAddr, analyzerAddr string, db *host.DB) (*Host, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial generator: %w", err)
 	}
-	h := &Host{gen: netproto.NewConn(rawG), db: db, reports: map[uint64]chan netproto.PowerReport{}}
+	// The analyzer broadcasts every power report to every subscribed
+	// host, keyed by the test's sequence number.  A random starting
+	// point keeps two hosts sharing one analyzer from both numbering
+	// their first test 1 and claiming each other's reports.
+	h := &Host{gen: netproto.NewConn(rawG), db: db, seq: rand.Uint64() >> 16, reports: map[uint64]chan netproto.PowerReport{}}
 	if err := h.gen.Send(netproto.TypeHello, 0, netproto.Hello{Role: "host", Name: "evaluation-host"}); err != nil {
 		h.gen.Close()
 		return nil, err

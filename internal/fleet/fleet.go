@@ -1,9 +1,8 @@
 // Package fleet scales the simulation from one array to a storage
 // fleet: N independent arrays — each an experiments-provisioned
 // engine + RAID array — behind a front-end router, partitioned across
-// W worker goroutines that advance in lock-stepped shared-clock
-// windows (the PR 6 sharded-replay pattern, lifted from disks-within-
-// an-array to arrays-within-a-fleet).
+// W worker goroutines that advance in shared-clock windows behind one
+// simtime.Lockstep barrier.
 //
 // Arrays only interact through the front end, so the conservative
 // lookahead is the router's decision interval: the coordinator routes
@@ -52,8 +51,8 @@ type pending struct {
 
 // member is one array of the fleet.  Its mutable fields are written by
 // the coordinator between barriers (routing) and by its worker during
-// drains (completions); the limit/drained channel handshake orders the
-// two, so no field needs atomics.
+// drains (completions); the lock-step barrier orders the two, so no
+// field needs atomics.
 type member struct {
 	index  int
 	engine *simtime.Engine
@@ -126,8 +125,6 @@ func (p *workerProbe) observe(bytes int64, resp simtime.Duration) {
 type worker struct {
 	members []*member
 	probe   *workerProbe
-	limit   chan simtime.Time
-	drained chan struct{}
 }
 
 func (w *worker) drain(limit simtime.Time) {
@@ -372,42 +369,17 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 		}
 	}
 
-	multi := len(f.workers) > 1
-	if multi {
-		for _, w := range f.workers {
-			w.limit = make(chan simtime.Time)
-			w.drained = make(chan struct{})
-			go func(w *worker) {
-				for limit := range w.limit {
-					w.drain(limit)
-					w.drained <- struct{}{}
-				}
-			}(w)
-		}
-		defer func() {
-			for _, w := range f.workers {
-				close(w.limit)
-			}
-		}()
-	}
+	ls := simtime.NewLockstep(len(f.workers), func(i int, limit simtime.Time) {
+		f.workers[i].drain(limit)
+	})
+	defer ls.Close()
 	// barrier drains every worker through limit and republishes member
-	// state to the coordinator (the channel handshake orders the
-	// cross-goroutine field accesses, as in replay/sharded.go).
+	// state to the coordinator (the lock-step handshake orders the
+	// cross-goroutine field accesses).
 	outstanding := 0
 	states := make([]ArrayState, n)
 	barrier := func(limit simtime.Time) {
-		if multi {
-			for _, w := range f.workers {
-				w.limit <- limit
-			}
-			for _, w := range f.workers {
-				<-w.drained
-			}
-		} else {
-			for _, w := range f.workers {
-				w.drain(limit)
-			}
-		}
+		ls.DrainThrough(limit)
 		outstanding = 0
 		for i, m := range f.members {
 			states[i] = ArrayState{Outstanding: m.outstanding, QueuedBytes: m.queuedBytes, Admitted: m.admitted}

@@ -136,26 +136,12 @@ func ReplaySharded(engines []*simtime.Engine, array *raid.Array, src BunchSource
 	}
 	r.shards = make([]shardCtx, len(engines))
 	for i := range r.shards {
-		r.shards[i] = shardCtx{run: r, engine: engines[i], id: i}
+		r.shards[i] = shardCtx{run: r, engine: engines[i]}
 	}
-	if len(engines) > 1 {
-		for i := range r.shards {
-			sc := &r.shards[i]
-			sc.limit = make(chan simtime.Time)
-			sc.drained = make(chan struct{})
-			go func() {
-				for limit := range sc.limit {
-					sc.engine.DrainThrough(limit)
-					sc.drained <- struct{}{}
-				}
-			}()
-		}
-		defer func() {
-			for i := range r.shards {
-				close(r.shards[i].limit)
-			}
-		}()
-	}
+	ls := simtime.NewLockstep(len(engines), func(i int, limit simtime.Time) {
+		engines[i].DrainThrough(limit)
+	})
+	defer ls.Close()
 
 	nb := src.NumBunches()
 	nextBunch := 0
@@ -174,11 +160,11 @@ func ReplaySharded(engines []*simtime.Engine, array *raid.Array, src BunchSource
 		if e == simtime.MaxTime {
 			// No unplanned bunches and no joins: every remaining event is
 			// internal to its shard.  Drain everything and finish.
-			r.drainThrough(simtime.MaxTime)
+			ls.DrainThrough(simtime.MaxTime)
 			r.processCompletions()
 			break
 		}
-		r.drainThrough(e)
+		ls.DrainThrough(e)
 		r.processCompletions()
 		if e == planBound {
 			nextBunch = r.planBatch(nextBunch, batch)
@@ -269,14 +255,11 @@ type opDone struct {
 
 // shardCtx is the per-shard execution context.  During a drain only the
 // shard's own goroutine touches it; the coordinator reads and resets it
-// between windows (the drain handshake orders the accesses).
+// between windows (the lock-step barrier orders the accesses).
 type shardCtx struct {
-	run     *shardedRun
-	engine  *simtime.Engine
-	id      int
-	buf     []opDone
-	limit   chan simtime.Time
-	drained chan struct{}
+	run    *shardedRun
+	engine *simtime.Engine
+	buf    []opDone
 }
 
 // OnEvent implements simtime.Handler: an admission event fired at the
@@ -288,20 +271,6 @@ func (sc *shardCtx) OnEvent(_ *simtime.Engine, arg simtime.EventArg) {
 
 func (r *shardedRun) shardOf(disk int32) *shardCtx {
 	return &r.shards[int(disk)%len(r.shards)]
-}
-
-// drainThrough advances every shard through the window bound.
-func (r *shardedRun) drainThrough(limit simtime.Time) {
-	if len(r.shards) == 1 {
-		r.shards[0].engine.DrainThrough(limit)
-		return
-	}
-	for i := range r.shards {
-		r.shards[i].limit <- limit
-	}
-	for i := range r.shards {
-		<-r.shards[i].drained
-	}
 }
 
 // joinBound returns a conservative lower bound on the join's resolution
