@@ -56,7 +56,11 @@ func (tl *Timeline) Set(t simtime.Time, w float64) {
 
 // Add records a relative change of dw watts at time t.
 func (tl *Timeline) Add(t simtime.Time, dw float64) {
-	tl.Set(t, tl.At(simtime.MaxTime)+dw)
+	var w float64
+	if n := len(tl.watts); n > 0 {
+		w = tl.watts[n-1]
+	}
+	tl.Set(t, w+dw)
 }
 
 // At reports the power draw at time t.  Before the first step it
@@ -66,21 +70,32 @@ func (tl *Timeline) At(t simtime.Time) float64 {
 	if len(tl.times) == 0 {
 		return 0
 	}
-	// Index of the last step at or before t.
+	return tl.watts[tl.stepAt(t)]
+}
+
+// stepAt returns the index of the step in force at t: the last step at
+// or before t, or 0 when t precedes every step.  The timeline must be
+// non-empty.  The search is stateless, so concurrent readers of a
+// finished timeline need no synchronisation.
+func (tl *Timeline) stepAt(t simtime.Time) int {
 	i := sort.Search(len(tl.times), func(i int) bool { return tl.times[i] > t }) - 1
 	if i < 0 {
 		i = 0
 	}
-	return tl.watts[i]
+	return i
 }
 
 // EnergyJ integrates the timeline over [t0, t1), returning joules.
+// The loop starts at the step in force at t0: every earlier segment
+// ends at or before t0 and would contribute nothing, so skipping them
+// keeps the same terms in the same order while making a run of
+// consecutive windows linear in the number of steps.
 func (tl *Timeline) EnergyJ(t0, t1 simtime.Time) float64 {
 	if t1 <= t0 || len(tl.times) == 0 {
 		return 0
 	}
 	var joules float64
-	for i := range tl.times {
+	for i := tl.stepAt(t0); i < len(tl.times); i++ {
 		segStart := tl.times[i]
 		segEnd := simtime.MaxTime
 		if i+1 < len(tl.times) {
@@ -115,13 +130,14 @@ type Segment struct {
 }
 
 // Segments returns the constant-power spans covering [t0, t1), clipped
-// to that window.  Thermal models integrate over these exactly.
+// to that window.  Thermal models integrate over these exactly.  Like
+// EnergyJ it starts at the step in force at t0.
 func (tl *Timeline) Segments(t0, t1 simtime.Time) []Segment {
 	if t1 <= t0 || len(tl.times) == 0 {
 		return nil
 	}
 	var segs []Segment
-	for i := range tl.times {
+	for i := tl.stepAt(t0); i < len(tl.times); i++ {
 		segStart := tl.times[i]
 		segEnd := simtime.MaxTime
 		if i+1 < len(tl.times) {

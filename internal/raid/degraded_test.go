@@ -40,7 +40,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	e := simtime.NewEngine()
 	a, fakes := fakeArray(t, e, RAID5, 4)
 	// Strip 0 lives on a known disk; find and fail it.
-	segs := a.mapRange(0, strip)
+	segs := a.mapRange(nil, 0, strip)
 	victim := segs[0].disk
 	if err := a.FailDisk(victim); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 func TestDegradedReadOtherDisksUnaffected(t *testing.T) {
 	e := simtime.NewEngine()
 	a, fakes := fakeArray(t, e, RAID5, 4)
-	segs := a.mapRange(0, strip)
+	segs := a.mapRange(nil, 0, strip)
 	victim := segs[0].disk
 	if err := a.FailDisk((victim + 1) % 4); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestDegradedReadOtherDisksUnaffected(t *testing.T) {
 func TestDegradedWriteParityLost(t *testing.T) {
 	e := simtime.NewEngine()
 	a, fakes := fakeArray(t, e, RAID5, 4)
-	segs := a.mapRange(0, 4096)
+	segs := a.mapRange(nil, 0, 4096)
 	if err := a.FailDisk(segs[0].parityDisk); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDegradedWriteParityLost(t *testing.T) {
 func TestDegradedWriteDataLostReconstructWrite(t *testing.T) {
 	e := simtime.NewEngine()
 	a, fakes := fakeArray(t, e, RAID5, 4)
-	segs := a.mapRange(0, 4096)
+	segs := a.mapRange(nil, 0, 4096)
 	if err := a.FailDisk(segs[0].disk); err != nil {
 		t.Fatal(err)
 	}

@@ -145,6 +145,16 @@ type Array struct {
 	tel     *telemetry.RAIDProbe
 
 	rebuild *rebuildRun // in-flight background rebuild, or nil
+
+	// Serial command path: free lists of per-IO records and scratch
+	// slices reused by every plan, so a warmed array issues commands
+	// without allocating.  See DESIGN.md §8 for who owns each record.
+	freeCmds    []*pendingCmd
+	freeFanins  []*fanin
+	freeStripes []*stripeWrite
+	segScratch  []segment
+	planScratch []stripePlan
+	opScratch   []PlannedOp
 }
 
 // diskAttacher is satisfied by disk models that accept a telemetry
@@ -457,11 +467,11 @@ type segment struct {
 	parityDisk int   // RAID5 only
 }
 
-// mapRange splits [off, off+size) into per-disk segments.
-func (a *Array) mapRange(off, size int64) []segment {
+// mapRange splits [off, off+size) into per-disk segments, appended to
+// segs in ascending strip order.
+func (a *Array) mapRange(segs []segment, off, size int64) []segment {
 	s := a.params.StripBytes
 	n := int64(len(a.disks))
-	var segs []segment
 	for size > 0 {
 		strip := off / s
 		within := off % s
@@ -501,9 +511,9 @@ func (a *Array) mapRange(off, size int64) []segment {
 }
 
 // pendingCmd carries one array request across the controller
-// command-overhead delay.  It is the closure-free kernel callback for
-// the array's hottest scheduling site: one small struct per array
-// command replaces the capturing closure the old path allocated.
+// command-overhead delay: the closure-free kernel callback for the
+// array's hottest scheduling site.  Records come from the array's free
+// list and go back to it as soon as the event fires.
 type pendingCmd struct {
 	a    *Array
 	req  storage.Request
@@ -513,15 +523,66 @@ type pendingCmd struct {
 // OnEvent implements simtime.Handler: the command overhead has elapsed,
 // plan and issue the member-disk operations.
 func (p *pendingCmd) OnEvent(*simtime.Engine, simtime.EventArg) {
-	a := p.a
-	switch p.req.Op {
+	a, req, done := p.a, p.req, p.done
+	p.done = nil
+	a.freeCmds = append(a.freeCmds, p)
+	switch req.Op {
 	case storage.Read:
 		a.stats.Reads++
-		a.submitRead(p.req, p.done)
+		a.submitRead(req, done)
 	case storage.Write:
 		a.stats.Writes++
-		a.submitWrite(p.req, p.done)
+		a.submitWrite(req, done)
 	}
+}
+
+// fanin joins the completions of a set of concurrent operations: done
+// receives the latest completion time once all outstanding operations
+// have finished.  fn is finish bound once, when the record is created.
+// A record returns to the array's free list before done runs, so done
+// may start new commands that reuse it.
+type fanin struct {
+	a           *Array
+	outstanding int
+	latest      simtime.Time
+	done        func(simtime.Time)
+	fn          func(simtime.Time)
+}
+
+func (f *fanin) finish(t simtime.Time) {
+	if t > f.latest {
+		f.latest = t
+	}
+	f.outstanding--
+	if f.outstanding == 0 {
+		done, latest := f.done, f.latest
+		f.done = nil
+		f.a.freeFanins = append(f.a.freeFanins, f)
+		done(latest)
+	}
+}
+
+// newFanin takes a fan-in record off the free list, armed for n
+// completions.
+func (a *Array) newFanin(n int, done func(simtime.Time)) *fanin {
+	f := take(&a.freeFanins)
+	if f == nil {
+		f = &fanin{a: a}
+		f.fn = f.finish
+	}
+	f.outstanding, f.latest, f.done = n, 0, done
+	return f
+}
+
+// take pops a record off a free list, or returns nil when it is empty.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	r := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return r
 }
 
 // doneNow defers a stored completion callback by one kernel event, so
@@ -540,7 +601,12 @@ func (a *Array) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 	req.Offset = foldOffset(req.Offset, req.Size, a.Capacity())
 	// Controller command overhead before member-disk issue.
-	a.engine.AfterEvent(a.params.CmdOverhead, &pendingCmd{a: a, req: req, done: done}, simtime.EventArg{})
+	p := take(&a.freeCmds)
+	if p == nil {
+		p = &pendingCmd{a: a}
+	}
+	p.req, p.done = req, done
+	a.engine.AfterEvent(a.params.CmdOverhead, p, simtime.EventArg{})
 }
 
 // PlannedOp is one member-disk operation planned by the controller.
@@ -576,6 +642,9 @@ type PlannedGroup struct {
 // the returned operations are identical — in content and in order — to
 // what Submit would issue.  Like Submit, it panics on a malformed
 // request and folds out-of-range offsets into the array's data space.
+// The plan lives in fresh slices the caller owns; PlanRequest touches
+// none of the serial path's scratch, so it is safe to call from
+// anywhere, a completion callback included.
 func (a *Array) PlanRequest(req storage.Request) []PlannedGroup {
 	if err := req.Validate(0); err != nil {
 		panic(fmt.Sprintf("raid: invalid request: %v", err))
@@ -585,17 +654,17 @@ func (a *Array) PlanRequest(req storage.Request) []PlannedGroup {
 	switch req.Op {
 	case storage.Read:
 		a.stats.Reads++
-		groups = []PlannedGroup{{Reads: a.planRead(req)}}
+		groups = []PlannedGroup{{Reads: a.planRead(nil, a.mapRange(nil, req.Offset, req.Size))}}
 	case storage.Write:
 		a.stats.Writes++
-		segs := a.mapRange(req.Offset, req.Size)
+		segs := a.mapRange(nil, req.Offset, req.Size)
 		if a.params.Level == RAID0 {
-			groups = []PlannedGroup{a.planWriteRAID0(segs)}
+			groups = []PlannedGroup{{Writes: a.planWriteRAID0(nil, segs)}}
 		} else {
-			plans := a.planStripes(segs)
-			groups = make([]PlannedGroup, 0, len(plans))
-			for _, p := range plans {
-				groups = append(groups, a.planStripeWrite(p))
+			plans := a.planStripes(nil, segs)
+			groups = make([]PlannedGroup, len(plans))
+			for i := range plans {
+				a.planStripeWrite(&plans[i], &groups[i])
 			}
 		}
 	}
@@ -617,23 +686,13 @@ func (a *Array) ObserveDiskOp(disk int, write bool, start, end simtime.Time, byt
 }
 
 // issueAll submits the planned ops and calls done with the slowest
-// completion time.
+// completion time.  ops is not read after the last op is submitted.
 func (a *Array) issueAll(ops []PlannedOp, done func(simtime.Time)) {
-	outstanding := len(ops)
-	if outstanding == 0 {
+	if len(ops) == 0 {
 		a.engine.ScheduleEvent(a.engine.Now(), doneNow{}, simtime.EventArg{Ptr: done})
 		return
 	}
-	var latest simtime.Time
-	finish := func(t simtime.Time) {
-		if t > latest {
-			latest = t
-		}
-		outstanding--
-		if outstanding == 0 {
-			done(latest)
-		}
-	}
+	finish := a.newFanin(len(ops), done).fn
 	start := a.engine.Now()
 	for _, op := range ops {
 		switch op.Req.Op {
@@ -647,8 +706,7 @@ func (a *Array) issueAll(ops []PlannedOp, done func(simtime.Time)) {
 			continue
 		}
 		// The span closure captures the op's identity; it exists only on
-		// the instrumented path so disabled telemetry allocates nothing
-		// beyond the shared finish closure.
+		// the instrumented path so disabled telemetry allocates nothing.
 		disk, write, size := op.Disk, op.Req.Op == storage.Write, op.Req.Size
 		a.disks[op.Disk].Submit(op.Req, func(t simtime.Time) {
 			a.tel.OnDiskOp(disk, write, start, t, size)
@@ -660,15 +718,16 @@ func (a *Array) issueAll(ops []PlannedOp, done func(simtime.Time)) {
 // submitRead fans the request out and completes when the slowest member
 // finishes.
 func (a *Array) submitRead(req storage.Request, done func(simtime.Time)) {
-	a.issueAll(a.planRead(req), done)
+	a.segScratch = a.mapRange(a.segScratch[:0], req.Offset, req.Size)
+	a.opScratch = a.planRead(a.opScratch[:0], a.segScratch)
+	a.issueAll(a.opScratch, done)
 }
 
-// planRead maps a read onto member ops.  Segments on a failed member
-// are reconstructed by reading the same byte range from every survivor
-// of the stripe and XOR-ing in controller memory.
-func (a *Array) planRead(req storage.Request) []PlannedOp {
-	segs := a.mapRange(req.Offset, req.Size)
-	var ops []PlannedOp
+// planRead maps a read's segments onto member ops appended to ops.
+// Segments on a failed member are reconstructed by reading the same
+// byte range from every survivor of the stripe and XOR-ing in
+// controller memory.
+func (a *Array) planRead(ops []PlannedOp, segs []segment) []PlannedOp {
 	for _, seg := range segs {
 		if seg.disk == a.failed {
 			a.stats.ReconstructReads++
@@ -697,88 +756,113 @@ type stripePlan struct {
 	parityOffset, paritySize int64
 }
 
-// submitWrite executes the RAID-0 or RAID-5 write path.
+// submitWrite executes the RAID-0 or RAID-5 write path.  The stripe
+// plans alias the array's scratch slices; nothing re-plans before the
+// next command event, so they stay intact while the loop issues, even
+// when members complete synchronously.
 func (a *Array) submitWrite(req storage.Request, done func(simtime.Time)) {
-	segs := a.mapRange(req.Offset, req.Size)
+	a.segScratch = a.mapRange(a.segScratch[:0], req.Offset, req.Size)
 	if a.params.Level == RAID0 {
-		a.issueAll(a.planWriteRAID0(segs).Writes, done)
+		a.opScratch = a.planWriteRAID0(a.opScratch[:0], a.segScratch)
+		a.issueAll(a.opScratch, done)
 		return
 	}
 
-	plans := a.planStripes(segs)
-	outstanding := len(plans)
-	var latest simtime.Time
-	for _, p := range plans {
-		a.executeGroup(a.planStripeWrite(p), func(t simtime.Time) {
-			if t > latest {
-				latest = t
-			}
-			outstanding--
-			if outstanding == 0 {
-				done(latest)
-			}
-		})
+	a.planScratch = a.planStripes(a.planScratch[:0], a.segScratch)
+	plans := a.planScratch
+	finish := a.newFanin(len(plans), done).fn
+	for i := range plans {
+		w := a.newStripeWrite()
+		a.planStripeWrite(&plans[i], &w.g)
+		w.execute(finish)
 	}
 }
 
-// planWriteRAID0 maps write segments straight onto member strips.
-func (a *Array) planWriteRAID0(segs []segment) PlannedGroup {
-	var ops []PlannedOp
+// planWriteRAID0 maps write segments straight onto member strips,
+// appending the writes to ops.
+func (a *Array) planWriteRAID0(ops []PlannedOp, segs []segment) []PlannedOp {
 	for _, seg := range segs {
 		ops = append(ops, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
 	}
-	return PlannedGroup{Writes: ops}
+	return ops
 }
 
-// executeGroup issues one planned group on the array's own engine: the
-// read phase first (when present), then the write phase on its
-// completion.  done receives the latest completion time of the final
-// phase, matching the classic RMW chain.
-func (a *Array) executeGroup(g PlannedGroup, done func(simtime.Time)) {
-	if len(g.Reads) == 0 {
-		a.issueAll(g.Writes, done)
+// stripeWrite carries one planned RAID-5 stripe group through its two
+// phases on the array's own engine.  It owns the group's Reads/Writes
+// slices, reused by every stripe the record serves; readsDone is
+// onReads bound once, when the record is created.  The record returns
+// to the array's free list once its write phase has been issued.
+type stripeWrite struct {
+	a         *Array
+	g         PlannedGroup
+	done      func(simtime.Time)
+	readsDone func(simtime.Time)
+}
+
+// newStripeWrite takes a stripe-write record off the free list with its
+// plan slices emptied.
+func (a *Array) newStripeWrite() *stripeWrite {
+	w := take(&a.freeStripes)
+	if w == nil {
+		w = &stripeWrite{a: a}
+		w.readsDone = w.onReads
+	}
+	w.g.Reads, w.g.Writes = w.g.Reads[:0], w.g.Writes[:0]
+	return w
+}
+
+// execute issues the read phase first (when present), then the write
+// phase on its completion.  done receives the latest completion time of
+// the final phase, matching the classic RMW chain.
+func (w *stripeWrite) execute(done func(simtime.Time)) {
+	if len(w.g.Reads) == 0 {
+		w.writePhase(done)
 		return
 	}
-	a.issueAll(g.Reads, func(simtime.Time) { a.issueAll(g.Writes, done) })
+	w.done = done
+	w.a.issueAll(w.g.Reads, w.readsDone)
 }
 
-// planStripes groups segments by stripe and classifies each stripe as a
-// full-stripe write or a read-modify-write.
-func (a *Array) planStripes(segs []segment) []stripePlan {
-	var plans []stripePlan
-	byStripe := map[int64]*stripePlan{}
-	var order []int64
-	for _, seg := range segs {
-		p, ok := byStripe[seg.stripe]
-		if !ok {
-			p = &stripePlan{stripe: seg.stripe, parityDisk: seg.parityDisk, parityOffset: seg.diskOffset, paritySize: seg.size}
-			byStripe[seg.stripe] = p
-			order = append(order, seg.stripe)
-		}
-		p.segs = append(p.segs, seg)
-		// Extend the parity union range.
-		lo, hi := p.parityOffset, p.parityOffset+p.paritySize
-		if seg.diskOffset < lo {
-			lo = seg.diskOffset
-		}
-		if end := seg.diskOffset + seg.size; end > hi {
-			hi = end
-		}
-		p.parityOffset, p.paritySize = lo, hi-lo
-	}
+func (w *stripeWrite) onReads(simtime.Time) {
+	done := w.done
+	w.done = nil
+	w.writePhase(done)
+}
+
+// writePhase issues the writes and releases the record.
+func (w *stripeWrite) writePhase(done func(simtime.Time)) {
+	a := w.a
+	a.issueAll(w.g.Writes, done)
+	a.freeStripes = append(a.freeStripes, w)
+}
+
+// planStripes appends one plan per stripe the segments touch and
+// classifies each as a full-stripe write or a read-modify-write.
+// mapRange emits segments in ascending strip order, so each stripe's
+// segments form one consecutive run and p.segs is a sub-slice of segs.
+func (a *Array) planStripes(plans []stripePlan, segs []segment) []stripePlan {
+	s := a.params.StripBytes
 	dataWidth := int64(len(a.disks) - 1)
-	for _, st := range order {
-		p := byStripe[st]
+	for i := 0; i < len(segs); {
+		p := stripePlan{stripe: segs[i].stripe, parityDisk: segs[i].parityDisk}
+		// The parity union range and the full-stripe test.
+		lo, hi := segs[i].diskOffset, segs[i].diskOffset+segs[i].size
 		var covered int64
 		full := true
-		for _, seg := range p.segs {
+		j := i
+		for ; j < len(segs) && segs[j].stripe == p.stripe; j++ {
+			seg := segs[j]
+			lo, hi = min(lo, seg.diskOffset), max(hi, seg.diskOffset+seg.size)
 			covered += seg.size
-			if seg.size != a.params.StripBytes || seg.diskOffset != p.stripe*a.params.StripBytes {
+			if seg.size != s || seg.diskOffset != p.stripe*s {
 				full = false
 			}
 		}
-		p.fullStripe = full && covered == dataWidth*a.params.StripBytes
-		plans = append(plans, *p)
+		p.segs = segs[i:j:j]
+		p.parityOffset, p.paritySize = lo, hi-lo
+		p.fullStripe = full && covered == dataWidth*s
+		plans = append(plans, p)
+		i = j
 	}
 	return plans
 }
@@ -789,24 +873,24 @@ func (a *Array) planStripes(segs []segment) []stripePlan {
 // plan adapts: a failed parity disk drops all parity traffic; a failed
 // data disk forces reconstruct-write — read the union range from every
 // surviving data disk to recompute parity, skip the lost data write.
-func (a *Array) planStripeWrite(p stripePlan) PlannedGroup {
+// The ops are appended to g's Reads and Writes.
+func (a *Array) planStripeWrite(p *stripePlan, g *PlannedGroup) {
 	degraded := a.failed >= 0 && a.stripeTouchesFailed(p)
 	if degraded {
 		a.stats.DegradedStripes++
 	}
 	parityAlive := p.parityDisk != a.failed
 
-	var writes []PlannedOp
 	for _, seg := range p.segs {
 		if seg.disk == a.failed {
 			continue // the lost member absorbs no writes; parity covers it
 		}
-		writes = append(writes, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
+		g.Writes = append(g.Writes, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
 	}
 	if parityAlive {
 		a.stats.ParityWrites++
 		a.tel.OnParity(false)
-		writes = append(writes, PlannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Write, Offset: p.parityOffset, Size: p.paritySize}})
+		g.Writes = append(g.Writes, PlannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Write, Offset: p.parityOffset, Size: p.paritySize}})
 	}
 
 	if p.fullStripe {
@@ -814,21 +898,20 @@ func (a *Array) planStripeWrite(p stripePlan) PlannedGroup {
 		a.tel.OnStripeWrite(true, degraded)
 		// Parity is computed from the new data in controller memory —
 		// no pre-reads needed.
-		return PlannedGroup{Writes: writes}
+		return
 	}
 
 	a.stats.RMWStripes++
 	a.tel.OnStripeWrite(false, degraded)
-	var reads []PlannedOp
 	switch {
 	case !degraded:
 		// Classic RMW: old data under each segment plus old parity.
 		for _, seg := range p.segs {
-			reads = append(reads, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
+			g.Reads = append(g.Reads, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
 		}
 		a.stats.ParityReads++
 		a.tel.OnParity(true)
-		reads = append(reads, PlannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
+		g.Reads = append(g.Reads, PlannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
 	case !parityAlive:
 		// Parity lost: data writes need no pre-reads at all.
 	default:
@@ -839,15 +922,14 @@ func (a *Array) planStripeWrite(p stripePlan) PlannedGroup {
 			if j == a.failed || j == p.parityDisk {
 				continue
 			}
-			reads = append(reads, PlannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
+			g.Reads = append(g.Reads, PlannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
 		}
 	}
-	return PlannedGroup{Reads: reads, Writes: writes}
 }
 
 // stripeTouchesFailed reports whether the plan involves the failed
 // member (as a data target or as the parity disk).
-func (a *Array) stripeTouchesFailed(p stripePlan) bool {
+func (a *Array) stripeTouchesFailed(p *stripePlan) bool {
 	if p.parityDisk == a.failed {
 		return true
 	}

@@ -105,7 +105,7 @@ func TestRAID5MappingInvariants(t *testing.T) {
 	n := 6
 	// Walk many logical strips; verify parity rotation and placement.
 	for strp := int64(0); strp < 200; strp++ {
-		segs := a.mapRange(strp*strip, strip)
+		segs := a.mapRange(nil, strp*strip, strip)
 		if len(segs) != 1 {
 			t.Fatalf("aligned strip maps to %d segments", len(segs))
 		}
@@ -134,7 +134,7 @@ func TestRAID5StripeUsesDistinctDisks(t *testing.T) {
 	a, _ := fakeArray(t, e, RAID5, 6)
 	// One full stripe of data: 5 strips must land on 5 distinct disks,
 	// none of them the parity disk.
-	segs := a.mapRange(0, 5*strip)
+	segs := a.mapRange(nil, 0, 5*strip)
 	seen := map[int]bool{}
 	for _, s := range segs {
 		if seen[s.disk] {
@@ -164,7 +164,7 @@ func TestPropertyMapRangeCoverage(t *testing.T) {
 		if size <= 0 {
 			size = 1
 		}
-		segs := a.mapRange(off, size)
+		segs := a.mapRange(nil, off, size)
 		var total int64
 		for _, s := range segs {
 			total += s.size
