@@ -2,11 +2,14 @@
 // III-A2): it converts HP SRT-style trace files into the blktrace
 // ".replay" format TRACER loads, between the binary and readable text
 // formats, and into the memory-mapped ".rmap" format the sharded
-// replayer consumes zero-copy.
+// replayer consumes zero-copy (`tracer replay -in` recognises an .rmap
+// file by its magic).
 //
-// Conversions stream bunch-by-bunch — the full record set is never
+// Conversions stream bunch-by-bunch through the one decoder and one
+// encoder blktrace keeps per format — the full record set is never
 // materialized — except from SRT sources, whose unsorted timestamps
-// force a global sort before bunching.
+// force a global sort before bunching.  Every decoder and the .rmap
+// writer apply the per-bunch checks of blktrace.Trace.Validate.
 //
 // Usage:
 //
@@ -44,12 +47,6 @@ type bunchWriter interface {
 	WriteBunch(blktrace.Bunch) error
 	Close() error
 }
-
-// mappedSink adapts MappedWriter's (time, packages) signature.
-type mappedSink struct{ w *blktrace.MappedWriter }
-
-func (s mappedSink) WriteBunch(b blktrace.Bunch) error { return s.w.WriteBunch(b.Time, b.Packages) }
-func (s mappedSink) Close() error                      { return s.w.Close() }
 
 // scanSource pushes a trace through the streaming callbacks: device
 // first, then each bunch in order with a reusable package buffer.
@@ -132,11 +129,7 @@ func newSink(to string, f *os.File, device string) (bunchWriter, error) {
 	case "text":
 		return blktrace.NewTextStreamWriter(f, device)
 	case "map":
-		w, err := blktrace.NewMappedWriter(f, device)
-		if err != nil {
-			return nil, err
-		}
-		return mappedSink{w}, nil
+		return blktrace.NewMappedWriter(f, device)
 	}
 	return nil, fmt.Errorf("unknown output format %q", to)
 }

@@ -86,6 +86,28 @@ func TestBinTextRoundTripViaCLI(t *testing.T) {
 	}
 }
 
+// TestText2BinKeepsFirstDeviceLine: the first device line names the
+// trace, through the converter as through blktrace.ReadText.
+func TestText2BinKeepsFirstDeviceLine(t *testing.T) {
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "t.txt")
+	bin := filepath.Join(dir, "t.replay")
+	if err := os.WriteFile(txt, []byte("device a\ndevice b\nB 0 1\n0 512 R\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-in", txt, "-out", bin, "-mode", "text2bin"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := blktrace.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Device != "a" {
+		t.Fatalf("label %q, want %q", tr.Device, "a")
+	}
+}
+
 // TestMappedRoundTripViaCLI drives bin -> map -> bin and bin -> map ->
 // text -> bin through the streaming converter and requires byte
 // identity with the direct conversion.

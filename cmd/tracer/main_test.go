@@ -263,9 +263,10 @@ func TestReplayAndReportCommands(t *testing.T) {
 	}
 }
 
-// TestShardedAndMappedReplayCommands drives -replay-shards and -mmap
-// through the CLI and requires the reported numbers to match the serial
-// run exactly at every shard count and via the zero-copy trace.
+// TestShardedAndMappedReplayCommands drives -replay-shards and a mapped
+// .rmap input (recognised by its magic) through the CLI and requires the
+// reported numbers to match the serial run exactly at every shard count
+// and via the zero-copy trace.
 func TestShardedAndMappedReplayCommands(t *testing.T) {
 	dir := t.TempDir()
 	repoDir := filepath.Join(dir, "traces")
@@ -301,8 +302,8 @@ func TestShardedAndMappedReplayCommands(t *testing.T) {
 	serial := runOK(t, "replay", "-in", bin, "-telemetry-dir", filepath.Join(dir, "tel-serial"))
 	for i, args := range [][]string{
 		{"replay", "-in", bin, "-replay-shards", "4", "-telemetry-dir", filepath.Join(dir, "tel-s4")},
-		{"replay", "-in", rmap, "-mmap", "-telemetry-dir", filepath.Join(dir, "tel-mmap")},
-		{"replay", "-in", rmap, "-mmap", "-replay-shards", "2", "-telemetry-dir", filepath.Join(dir, "tel-mmap-s2")},
+		{"replay", "-in", rmap, "-telemetry-dir", filepath.Join(dir, "tel-mmap")},
+		{"replay", "-in", rmap, "-replay-shards", "2", "-telemetry-dir", filepath.Join(dir, "tel-mmap-s2")},
 	} {
 		out := runOK(t, args...)
 		if numbers(out) != numbers(serial) {
@@ -311,10 +312,59 @@ func TestShardedAndMappedReplayCommands(t *testing.T) {
 	}
 
 	// A filtered mmap replay materializes and still works.
-	out := runOK(t, "replay", "-in", rmap, "-mmap", "-load", "50", "-replay-shards", "2",
+	out := runOK(t, "replay", "-in", rmap, "-load", "50", "-replay-shards", "2",
 		"-telemetry-dir", filepath.Join(dir, "tel-mmap-load"))
 	if !strings.Contains(out, "load 50%") {
 		t.Fatalf("filtered mmap replay output: %s", out)
+	}
+}
+
+// TestReplayRejectsDoctoredMappedInput: a .rmap file whose layout
+// opens cleanly but whose package records are invalid (zero size, an
+// unknown op) must fail replay with a labelled error, not a panic in
+// the RAID planner; a mapped input also refuses the cache tier.
+func TestReplayRejectsDoctoredMappedInput(t *testing.T) {
+	dir := t.TempDir()
+	tr := blktrace.NewBuilder("dev")
+	for i := 0; i < 4; i++ {
+		if err := tr.Record(0, blktrace.IOPackage{Sector: int64(8 * i), Size: 4096, Op: storage.Read}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := filepath.Join(dir, "good.rmap")
+	if err := blktrace.WriteMappedFile(good, tr.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first package record follows magic, version, devlen, the
+	// label and the two counts: sector (8 bytes), size (8), op (1).
+	pkg := 8 + 2 + 2 + len("dev") + 4 + 8
+	for name, doctor := range map[string]func(b []byte){
+		"zero-size": func(b []byte) { clear(b[pkg+8 : pkg+16]) },
+		"bad-op":    func(b []byte) { b[pkg+16] = 9 },
+	} {
+		b := append([]byte(nil), blob...)
+		doctor(b)
+		path := filepath.Join(dir, name+".rmap")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := blktrace.OpenMapped(path); err != nil {
+			t.Fatalf("%s: open rejected the layout (the test needs a file that opens): %v", name, err)
+		}
+		var buf bytes.Buffer
+		err := run([]string{"replay", "-in", path, "-telemetry-dir", filepath.Join(dir, "tel-"+name)}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "bunch 0 package 0") {
+			t.Errorf("%s: replay err = %v, want a labelled package error", name, err)
+		}
+	}
+	var buf bytes.Buffer
+	err = run([]string{"replay", "-in", good, "-cache-tier", "dram", "-telemetry-dir", filepath.Join(dir, "tel-cache")}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "mapped") {
+		t.Errorf("cache tier over a mapped input: err = %v, want a composition error", err)
 	}
 }
 
@@ -326,7 +376,6 @@ func TestReplayAndReportErrors(t *testing.T) {
 		{"replay", "-in", "x.replay", "-load", "0"},
 		{"replay", "-in", "x.replay", "-device", "tape"},
 		{"replay", "-in", "x.replay", "-replay-shards", "0"},
-		{"replay", "-trace", "a", "-mmap"}, // mmap needs -in
 		{"report", "-dir", filepath.Join(t.TempDir(), "missing")},
 	}
 	for _, args := range cases {

@@ -28,16 +28,17 @@ import (
 //
 // -replay-shards N > 1 runs the sharded executor (one event loop per
 // shard, member disks striped across shards); results are bit-identical
-// to the serial run at any shard count.  -mmap loads -in as a
-// memory-mapped ".rmap" trace (see traceconv -mode bin2map) and replays
-// it zero-copy; a load below 100% still materializes, since filtering
-// rewrites the bunch list.
+// to the serial run at any shard count.  An -in file that starts with
+// the ".rmap" magic (see traceconv -mode bin2map) is opened memory-
+// mapped and replayed zero-copy on the sharded executor; any other -in
+// file decodes as a binary ".replay" trace.  A load below 100% still
+// materializes a mapped trace, since filtering rewrites the bunch list.
 //
 // -cache-tier interposes a writeback cache (see internal/cache) between
 // the replay and the array; the remaining -cache-* flags tune it and
 // are rejected without a tier, so a typo cannot silently replay
 // uncached.  The cache front end is serial-engine only: it composes
-// with neither -replay-shards above 1 nor -mmap.
+// with neither -replay-shards above 1 nor a mapped input.
 func cmdReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	dir := fs.String("repo", "traces", "trace repository directory")
@@ -48,7 +49,6 @@ func cmdReplay(args []string, out io.Writer) error {
 	telemetryDir := fs.String("telemetry-dir", "telemetry", "artifact output directory")
 	cadence := fs.Duration("cadence", 1_000_000_000, "time-series sampling cadence (sim time)")
 	shards := fs.Int("replay-shards", 1, "event-loop shards for the replay (1 = serial engine)")
-	mmap := fs.Bool("mmap", false, "load -in as a memory-mapped .rmap trace (zero-copy)")
 	cf := registerCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,24 +62,27 @@ func cmdReplay(args []string, out io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("replay: bad shard count %d", *shards)
 	}
-	if *mmap && *in == "" {
-		return fmt.Errorf("replay: -mmap requires -in (repository entries are not .rmap files)")
-	}
 	if err := cf.validate("replay", fs); err != nil {
 		return err
 	}
 	if *cf.tier != "" && *shards > 1 {
 		return fmt.Errorf("replay: -cache-tier does not compose with -replay-shards %d (the cache tier is serial-engine only)", *shards)
 	}
-	if *cf.tier != "" && *mmap {
-		return fmt.Errorf("replay: -cache-tier does not compose with -mmap")
-	}
 	kind, err := experiments.KindFromString(*device)
 	if err != nil {
 		return err
 	}
+	mapped := false
+	if *in != "" {
+		if mapped, err = blktrace.IsMappedFile(*in); err != nil {
+			return err
+		}
+	}
+	if *cf.tier != "" && mapped {
+		return fmt.Errorf("replay: -cache-tier does not compose with a mapped (.rmap) input %s", *in)
+	}
 	var src replay.BunchSource
-	if *mmap {
+	if mapped {
 		m, err := blktrace.OpenMapped(*in)
 		if err != nil {
 			return err
@@ -121,7 +124,7 @@ func cmdReplay(args []string, out io.Writer) error {
 		return nil
 	}
 	var run *experiments.TelemetryRun
-	if *shards > 1 || *mmap {
+	if *shards > 1 || mapped {
 		run, err = experiments.MeasureAtLoadTelemetrySharded(experiments.DefaultConfig(), kind, src, *load/100, set, *shards)
 	} else {
 		run, err = experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), kind, src.(*blktrace.Trace), *load/100, set)
@@ -134,7 +137,7 @@ func cmdReplay(args []string, out io.Writer) error {
 	}
 	r := run.Meas.Result
 	fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s (%d shard(s)%s): %.1f IOPS, %.3f MBPS, %.1f W\n",
-		r.Completed, *load, kind, *shards, map[bool]string{true: ", mmap"}[*mmap], r.IOPS, r.MBPS, run.Meas.Power)
+		r.Completed, *load, kind, *shards, map[bool]string{true: ", mmap"}[mapped], r.IOPS, r.MBPS, run.Meas.Power)
 	fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
 		*telemetryDir, *telemetryDir)
 	return nil

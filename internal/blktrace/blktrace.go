@@ -7,9 +7,11 @@
 // read/write direction.  The paper's 2-minute RAID-5 trace holds about
 // 50,000 bunches and 400,000 IO_packages in this shape.
 //
-// Two codecs are provided: a compact binary format (the ".replay" files
-// TRACER loads) and a line-oriented text format convenient for
-// inspection and for hand-written fixtures.
+// Three formats are provided: a compact binary format (the ".replay"
+// files TRACER loads), a line-oriented text format convenient for
+// inspection and for hand-written fixtures, and a memory-mapped layout
+// (".rmap", mmap.go) the sharded replayer reads zero-copy.  Each has
+// one streaming decoder and one encoder (stream.go).
 package blktrace
 
 import (
@@ -20,8 +22,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/simtime"
 	"repro/internal/storage"
@@ -120,22 +120,10 @@ func (t *Trace) Clone() *Trace {
 // Validate checks structural invariants: non-decreasing bunch times,
 // non-empty bunches, and well-formed packages.
 func (t *Trace) Validate() error {
-	var prev simtime.Duration = -1
-	for i, b := range t.Bunches {
-		if b.Time < 0 {
-			return fmt.Errorf("blktrace: bunch %d has negative time %v", i, b.Time)
-		}
-		if b.Time < prev {
-			return fmt.Errorf("blktrace: bunch %d time %v precedes bunch %d time %v", i, b.Time, i-1, prev)
-		}
-		prev = b.Time
-		if len(b.Packages) == 0 {
-			return fmt.Errorf("blktrace: bunch %d is empty", i)
-		}
-		for j, p := range b.Packages {
-			if err := p.Request().Validate(0); err != nil {
-				return fmt.Errorf("blktrace: bunch %d package %d: %w", i, j, err)
-			}
+	var v scanValidator
+	for _, b := range t.Bunches {
+		if err := v.check(b); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -381,9 +369,17 @@ func (a *pkgArena) take(n int) []IOPackage {
 
 // Write encodes the trace in the binary .replay format.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if err := writeTo(bw, t); err != nil {
+	if uint64(len(t.Bunches)) > math.MaxUint32 {
+		return fmt.Errorf("blktrace: too many bunches (%d)", len(t.Bunches))
+	}
+	bw := bufio.NewWriter(w) // w itself when it is already a large enough bufio.Writer
+	if err := writeHeader(bw, binaryMagic, binaryVersion, t.Device, binary.LittleEndian.AppendUint32(nil, uint32(len(t.Bunches)))); err != nil {
 		return err
+	}
+	for i := range t.Bunches {
+		if err := writeBunch(bw, t.Bunches[i]); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }
@@ -394,61 +390,33 @@ func WriteFile(path string, t *Trace) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, fileBufSize)
-	if err := writeTo(bw, t); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := Write(bufio.NewWriterSize(f, fileBufSize), t); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-func writeTo(bw *bufio.Writer, t *Trace) error {
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	if len(t.Device) > math.MaxUint16 {
-		return fmt.Errorf("blktrace: device name too long (%d bytes)", len(t.Device))
-	}
-	var scratch [12]byte
-	binary.LittleEndian.PutUint16(scratch[0:2], binaryVersion)
-	binary.LittleEndian.PutUint16(scratch[2:4], uint16(len(t.Device)))
-	if _, err := bw.Write(scratch[0:4]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Device); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[0:4], uint32(len(t.Bunches)))
-	if _, err := bw.Write(scratch[0:4]); err != nil {
-		return err
-	}
-	for i := range t.Bunches {
-		b := &t.Bunches[i]
-		binary.LittleEndian.PutUint64(scratch[0:8], uint64(b.Time))
-		binary.LittleEndian.PutUint32(scratch[8:12], uint32(len(b.Packages)))
-		if _, err := bw.Write(scratch[0:12]); err != nil {
-			return err
-		}
-		for _, p := range b.Packages {
-			var rec [17]byte
-			binary.LittleEndian.PutUint64(rec[0:8], uint64(p.Sector))
-			binary.LittleEndian.PutUint64(rec[8:16], uint64(p.Size))
-			rec[16] = byte(p.Op)
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
-		}
-	}
+// collector materializes scanned bunches into a Trace, copying each out
+// of the scanner's reused buffer into a pkgArena.
+type collector struct {
+	t     Trace
+	arena pkgArena
+}
+
+func (c *collector) device(dev string) error {
+	c.t.Device = dev
+	return nil
+}
+
+func (c *collector) add(b Bunch) error {
+	c.t.Bunches = append(c.t.Bunches, Bunch{Time: b.Time, Packages: append(c.arena.take(len(b.Packages)), b.Packages...)})
 	return nil
 }
 
 // Read decodes a binary .replay trace.
 func Read(r io.Reader) (*Trace, error) {
-	return readFrom(bufio.NewReader(r), 0)
+	return readBinary(bufio.NewReader(r), 0)
 }
 
 // ReadFile decodes a binary .replay trace from a file.  The file length
@@ -464,97 +432,32 @@ func ReadFile(path string) (*Trace, error) {
 	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
 		hint = int(fi.Size() / pkgRecordSize)
 	}
-	return readFrom(bufio.NewReaderSize(f, fileBufSize), hint)
+	return readBinary(bufio.NewReaderSize(f, fileBufSize), hint)
 }
 
-// readFrom decodes the binary format; pkgHint, when positive, is an
-// upper bound on the total package count used to pre-size the arena.
-func readFrom(br *bufio.Reader, pkgHint int) (*Trace, error) {
-	var arena pkgArena
+// readBinary collects a v1 stream.  pkgHint, when positive, bounds the
+// counts (see scanBinary) and sizes the arena in one allocation; the
+// bunch list is sized from the declared count, which without a hint is
+// trusted only up to arenaChunk so a lying header cannot force a giant
+// allocation.
+func readBinary(br *bufio.Reader, pkgHint int) (*Trace, error) {
+	c := &collector{}
 	if pkgHint > 0 {
-		arena.buf = make([]IOPackage, pkgHint)
+		c.arena.buf = make([]IOPackage, pkgHint)
 	}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic[:])
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	devlen := int(binary.LittleEndian.Uint16(hdr[2:4]))
-	dev := make([]byte, devlen)
-	if _, err := io.ReadFull(br, dev); err != nil {
-		return nil, fmt.Errorf("%w: device name: %v", ErrBadFormat, err)
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("%w: bunch count: %v", ErrBadFormat, err)
-	}
-	nb := int(binary.LittleEndian.Uint32(cnt[:]))
-	// A corrupt or truncated file can carry arbitrary counts; bound
-	// every preallocation so decoding fails with ErrBadFormat instead of
-	// attempting a gigantic allocation.  Each bunch needs at least a
-	// 12-byte header, and each package exactly pkgRecordSize bytes, so
-	// the file-size hint caps both counts.  In stream mode (no hint) the
-	// caps fall back to modest growth chunks; a lying count then fails
-	// at the next ReadFull.
-	if pkgHint > 0 && nb > pkgHint {
-		return nil, fmt.Errorf("%w: bunch count %d exceeds file size", ErrBadFormat, nb)
-	}
-	t := &Trace{Device: string(dev)}
-	if nb > 0 {
-		capHint := nb
-		if capHint > arenaChunk && pkgHint == 0 {
-			capHint = arenaChunk
+	err := scanBinary(br, pkgHint, func(dev string, nb int) error {
+		if pkgHint == 0 {
+			nb = min(nb, arenaChunk)
 		}
-		t.Bunches = make([]Bunch, 0, capHint)
+		if nb > 0 {
+			c.t.Bunches = make([]Bunch, 0, nb)
+		}
+		return c.device(dev)
+	}, c.add)
+	if err != nil {
+		return nil, err
 	}
-	totalPkgs := 0
-	for i := 0; i < nb; i++ {
-		var bh [12]byte
-		if _, err := io.ReadFull(br, bh[:]); err != nil {
-			return nil, fmt.Errorf("%w: bunch %d header: %v", ErrBadFormat, i, err)
-		}
-		bt := simtime.Duration(binary.LittleEndian.Uint64(bh[0:8]))
-		np := int(binary.LittleEndian.Uint32(bh[8:12]))
-		if np < 0 {
-			return nil, fmt.Errorf("%w: bunch %d package count %d", ErrBadFormat, i, np)
-		}
-		totalPkgs += np
-		if pkgHint > 0 && totalPkgs > pkgHint {
-			return nil, fmt.Errorf("%w: bunch %d: package count exceeds file size", ErrBadFormat, i)
-		}
-		take := np
-		if pkgHint == 0 && take > arenaChunk {
-			// Stream mode: trust the count only up to the growth chunk;
-			// genuine oversized bunches fall back to append growth.
-			take = arenaChunk
-		}
-		bunch := Bunch{Time: bt, Packages: arena.take(take)}
-		for j := 0; j < np; j++ {
-			var rec [17]byte
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return nil, fmt.Errorf("%w: bunch %d package %d: %v", ErrBadFormat, i, j, err)
-			}
-			bunch.Packages = append(bunch.Packages, IOPackage{
-				Sector: int64(binary.LittleEndian.Uint64(rec[0:8])),
-				Size:   int64(binary.LittleEndian.Uint64(rec[8:16])),
-				Op:     storage.Op(rec[16]),
-			})
-		}
-		t.Bunches = append(t.Bunches, bunch)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return t, nil
+	return &c.t, nil
 }
 
 // WriteText encodes the trace in the line-oriented text format:
@@ -564,96 +467,24 @@ func readFrom(br *bufio.Reader, pkgHint int) (*Trace, error) {
 //	B <time_ns> <npackages>
 //	<sector> <size> R|W
 func WriteText(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# blktrace-text v1")
-	fmt.Fprintf(bw, "device %s\n", t.Device)
+	tw, err := NewTextStreamWriter(w, t.Device)
+	if err != nil {
+		return err
+	}
 	for i := range t.Bunches {
-		b := &t.Bunches[i]
-		fmt.Fprintf(bw, "B %d %d\n", int64(b.Time), len(b.Packages))
-		for _, p := range b.Packages {
-			op := "R"
-			if p.Op == storage.Write {
-				op = "W"
-			}
-			fmt.Fprintf(bw, "%d %d %s\n", p.Sector, p.Size, op)
+		if err := tw.WriteBunch(t.Bunches[i]); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return tw.Close()
 }
 
-// ReadText decodes the text format written by WriteText.
+// ReadText decodes the text format written by WriteText, collecting
+// from ScanText: the first device line names the trace.
 func ReadText(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	t := &Trace{}
-	lineNo := 0
-	pending := 0 // packages still expected for the current bunch
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch {
-		case fields[0] == "device":
-			if len(fields) >= 2 {
-				t.Device = fields[1]
-			}
-		case fields[0] == "B":
-			if pending != 0 {
-				return nil, fmt.Errorf("%w: line %d: new bunch with %d packages pending", ErrBadFormat, lineNo, pending)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("%w: line %d: bad bunch header", ErrBadFormat, lineNo)
-			}
-			ts, err1 := strconv.ParseInt(fields[1], 10, 64)
-			np, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || np <= 0 {
-				return nil, fmt.Errorf("%w: line %d: bad bunch header %q", ErrBadFormat, lineNo, line)
-			}
-			capNP := np
-			if capNP > arenaChunk {
-				// Don't let a corrupt count trigger a giant allocation;
-				// real oversized bunches grow by append.
-				capNP = arenaChunk
-			}
-			t.Bunches = append(t.Bunches, Bunch{Time: simtime.Duration(ts), Packages: make([]IOPackage, 0, capNP)})
-			pending = np
-		default:
-			if pending == 0 {
-				return nil, fmt.Errorf("%w: line %d: package outside bunch", ErrBadFormat, lineNo)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("%w: line %d: bad package line %q", ErrBadFormat, lineNo, line)
-			}
-			sector, err1 := strconv.ParseInt(fields[0], 10, 64)
-			size, err2 := strconv.ParseInt(fields[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("%w: line %d: bad package numbers", ErrBadFormat, lineNo)
-			}
-			var op storage.Op
-			switch fields[2] {
-			case "R", "r":
-				op = storage.Read
-			case "W", "w":
-				op = storage.Write
-			default:
-				return nil, fmt.Errorf("%w: line %d: bad op %q", ErrBadFormat, lineNo, fields[2])
-			}
-			b := &t.Bunches[len(t.Bunches)-1]
-			b.Packages = append(b.Packages, IOPackage{Sector: sector, Size: size, Op: op})
-			pending--
-		}
+	c := &collector{}
+	if err := ScanText(r, c.device, c.add); err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo+1, err)
-	}
-	if pending != 0 {
-		return nil, fmt.Errorf("%w: truncated final bunch (%d packages missing)", ErrBadFormat, pending)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return t, nil
+	return &c.t, nil
 }

@@ -313,23 +313,49 @@ func TestReadRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestReadTextRejectsMalformed runs one table through both text
+// decoders: ReadText collects from ScanText, so each must reject the
+// same inputs with a labelled ErrBadFormat and accept the rest with the
+// same device label.
 func TestReadTextRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"package outside bunch": "# blktrace-text v1\ndevice d\n5 512 R\n",
-		"bad op":                "# blktrace-text v1\ndevice d\nB 0 1\n5 512 X\n",
-		"truncated bunch":       "# blktrace-text v1\ndevice d\nB 0 2\n5 512 R\n",
-		"bad header":            "# blktrace-text v1\ndevice d\nB zero 1\n5 512 R\n",
-		"early new bunch":       "# blktrace-text v1\ndevice d\nB 0 2\n5 512 R\nB 10 1\n6 512 R\n",
-		"zero-size package":     "B 0 2\n0 0 W\n0 0 W",
-		"negative bunch time":   "B -1 1\n0 512 R\n",
-		"bunch time regresses":  "B 5 1\n0 512 R\nB 1 1\n0 512 R\n",
+	overLong := "device d\nB 0 1\n" + strings.Repeat("1", 16<<20+1) + " 512 R\n"
+	cases := []struct {
+		name, text string
+		device     string // label of an accepted trace; "" with reject
+		reject     bool
+	}{
+		{"package outside bunch", "# blktrace-text v1\ndevice d\n5 512 R\n", "", true},
+		{"bad op", "# blktrace-text v1\ndevice d\nB 0 1\n5 512 X\n", "", true},
+		{"truncated bunch", "# blktrace-text v1\ndevice d\nB 0 2\n5 512 R\n", "", true},
+		{"bad header", "# blktrace-text v1\ndevice d\nB zero 1\n5 512 R\n", "", true},
+		{"early new bunch", "# blktrace-text v1\ndevice d\nB 0 2\n5 512 R\nB 10 1\n6 512 R\n", "", true},
+		{"zero-size package", "B 0 2\n0 0 W\n0 0 W", "", true},
+		{"negative bunch time", "B -1 1\n0 512 R\n", "", true},
+		{"bunch time regresses", "B 5 1\n0 512 R\nB 1 1\n0 512 R\n", "", true},
+		{"line over 16 MiB", overLong, "", true},
+		{"first device line names the trace", "device a\ndevice b\nB 0 1\n0 512 R\n", "a", false},
 	}
-	for name, text := range cases {
-		_, err := ReadText(strings.NewReader(text))
-		if err == nil {
-			t.Errorf("%s: ReadText accepted malformed input", name)
-		} else if !errors.Is(err, ErrBadFormat) {
-			t.Errorf("%s: error not labelled ErrBadFormat: %v", name, err)
+	for _, tc := range cases {
+		read, readErr := ReadText(strings.NewReader(tc.text))
+		var scanned *Trace
+		scanErr := ScanText(strings.NewReader(tc.text),
+			func(dev string) error { scanned = &Trace{Device: dev}; return nil },
+			func(Bunch) error { return nil })
+		for _, dec := range []struct {
+			name string
+			tr   *Trace
+			err  error
+		}{{"ReadText", read, readErr}, {"ScanText", scanned, scanErr}} {
+			switch {
+			case tc.reject && dec.err == nil:
+				t.Errorf("%s: %s accepted malformed input", tc.name, dec.name)
+			case tc.reject && !errors.Is(dec.err, ErrBadFormat):
+				t.Errorf("%s: %s error not labelled ErrBadFormat: %v", tc.name, dec.name, dec.err)
+			case !tc.reject && dec.err != nil:
+				t.Errorf("%s: %s: %v", tc.name, dec.name, dec.err)
+			case !tc.reject && dec.tr.Device != tc.device:
+				t.Errorf("%s: %s label %q, want %q", tc.name, dec.name, dec.tr.Device, tc.device)
+			}
 		}
 	}
 }
@@ -443,7 +469,7 @@ func TestArenaIsolatesBunches(t *testing.T) {
 	if err := Write(&buf, b.Trace()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrom(bufio.NewReader(&buf), b.Trace().NumIOs())
+	got, err := readBinary(bufio.NewReader(&buf), b.Trace().NumIOs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package blktrace
 // buffered path.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,7 +29,6 @@ import (
 	"os"
 
 	"repro/internal/simtime"
-	"repro/internal/storage"
 )
 
 var mappedMagic = [8]byte{'T', 'R', 'C', 'R', 'M', 'M', 'A', 'P'}
@@ -38,7 +36,9 @@ var mappedMagic = [8]byte{'T', 'R', 'C', 'R', 'M', 'M', 'A', 'P'}
 const (
 	mappedVersion   = 2
 	bunchRecordSize = 12
-	mappedHeadLen   = 8 + 2 + 2 // magic, version, devlen
+	// mappedHeadLen is the fixed header ahead of the device label in
+	// both binary formats.
+	mappedHeadLen = 8 + 2 + 2 // magic, version, devlen
 )
 
 // MappedTrace is a read-only trace view backed by raw format-v2 bytes —
@@ -84,12 +84,7 @@ func (m *MappedTrace) BunchSize(i int) int { return int(m.pkgStart[i+1] - m.pkgS
 
 // Package decodes package pkg of bunch i directly from the mapping.
 func (m *MappedTrace) Package(i, pkg int) IOPackage {
-	rec := m.pkgs[(m.pkgStart[i]+int64(pkg))*pkgRecordSize:]
-	return IOPackage{
-		Sector: int64(binary.LittleEndian.Uint64(rec[0:8])),
-		Size:   int64(binary.LittleEndian.Uint64(rec[8:16])),
-		Op:     storage.Op(rec[16]),
-	}
+	return getPackage(m.pkgs[(m.pkgStart[i]+int64(pkg))*pkgRecordSize:])
 }
 
 // AppendPackages appends bunch i's packages to dst and returns it;
@@ -105,17 +100,11 @@ func (m *MappedTrace) AppendPackages(i int, dst []IOPackage) []IOPackage {
 // Materialize copies the view into a heap *Trace (for code paths that
 // need mutation, e.g. load filters) and validates it fully.
 func (m *MappedTrace) Materialize() (*Trace, error) {
-	t := &Trace{Device: m.device, Bunches: make([]Bunch, 0, m.nb)}
-	arena := pkgArena{buf: make([]IOPackage, m.np)}
-	for i := 0; i < m.nb; i++ {
-		b := Bunch{Time: m.BunchTime(i), Packages: arena.take(m.BunchSize(i))}
-		b.Packages = m.AppendPackages(i, b.Packages)
-		t.Bunches = append(t.Bunches, b)
+	c := &collector{t: Trace{Bunches: make([]Bunch, 0, m.nb)}, arena: pkgArena{buf: make([]IOPackage, m.np)}}
+	if err := ScanMapped(m, c.device, c.add); err != nil {
+		return nil, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return t, nil
+	return &c.t, nil
 }
 
 // Close releases the file mapping, if any.
@@ -161,6 +150,23 @@ func ReadMappedFile(path string) (*MappedTrace, error) {
 		return nil, err
 	}
 	return parseMapped(data, nil)
+}
+
+// IsMappedFile reports whether the file at path starts with the
+// format-v2 magic, i.e. whether OpenMapped rather than ReadFile loads
+// it.  A file shorter than the magic is not mapped.
+func IsMappedFile(path string) (bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	var magic [8]byte
+	_, err = io.ReadFull(f, magic[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return false, nil
+	}
+	return err == nil && magic == mappedMagic, err
 }
 
 // parseMapped validates the v2 layout and builds the view.  The walk is
@@ -225,13 +231,6 @@ func parseMapped(data []byte, unmap func() error) (*MappedTrace, error) {
 	return m, nil
 }
 
-// countPatcher is the writer target: sequential writes plus the two
-// in-place count patches on Close.  *os.File satisfies it.
-type countPatcher interface {
-	io.Writer
-	io.WriterAt
-}
-
 // MappedWriter streams a trace into the format-v2 layout: package
 // records flow straight through a buffer as bunches arrive, the 12-byte
 // bunch headers accumulate in memory for the tail section, and the two
@@ -239,72 +238,42 @@ type countPatcher interface {
 // materialized, so converting a multi-gigabyte trace runs in constant
 // memory (plus 12 bytes per bunch).
 type MappedWriter struct {
-	f        countPatcher
-	bw       *bufio.Writer
-	bunches  []byte
-	np       int64
-	nb       int64
-	countOff int64
-	lastTime simtime.Duration
-	closed   bool
+	patchedStream
+	v       scanValidator
+	bunches []byte
+	np      int64
+	nb      int64
 }
 
 // NewMappedWriter starts a format-v2 stream on f for the given device
 // label.  The caller retains ownership of f and closes it after Close.
 func NewMappedWriter(f countPatcher, device string) (*MappedWriter, error) {
-	if len(device) > math.MaxUint16 {
-		return nil, fmt.Errorf("blktrace: device name too long (%d bytes)", len(device))
-	}
-	w := &MappedWriter{f: f, bw: bufio.NewWriterSize(f, fileBufSize), countOff: int64(mappedHeadLen + len(device)), lastTime: -1}
-	var hdr [4]byte
-	if _, err := w.bw.Write(mappedMagic[:]); err != nil {
+	s, err := newPatchedStream(f, mappedMagic, mappedVersion, device, 12)
+	if err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint16(hdr[0:2], mappedVersion)
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(device)))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	if _, err := w.bw.WriteString(device); err != nil {
-		return nil, err
-	}
-	var zero [12]byte // nbunches, npackages — patched on Close
-	if _, err := w.bw.Write(zero[:]); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return &MappedWriter{patchedStream: s}, nil
 }
 
-// WriteBunch appends one bunch; times must be non-decreasing and the
-// bunch non-empty, mirroring Trace.Validate.
-func (w *MappedWriter) WriteBunch(t simtime.Duration, pkgs []IOPackage) error {
+// WriteBunch appends one bunch; it must pass the same per-bunch checks
+// as Trace.Validate, so every file the writer produces replays.
+func (w *MappedWriter) WriteBunch(b Bunch) error {
 	if w.closed {
 		return fmt.Errorf("blktrace: write on closed MappedWriter")
 	}
-	if t < 0 || t < w.lastTime {
-		return fmt.Errorf("blktrace: bunch at %v out of order (last %v)", t, w.lastTime)
+	if uint64(len(b.Packages)) > math.MaxUint32 {
+		return fmt.Errorf("blktrace: bunch at %v too large (%d packages)", b.Time, len(b.Packages))
 	}
-	if len(pkgs) == 0 {
-		return fmt.Errorf("blktrace: empty bunch at %v", t)
+	if err := w.v.check(b); err != nil {
+		return err
 	}
-	if uint64(len(pkgs)) > math.MaxUint32 {
-		return fmt.Errorf("blktrace: bunch at %v too large (%d packages)", t, len(pkgs))
-	}
-	w.lastTime = t
-	var rec [pkgRecordSize]byte
-	for _, p := range pkgs {
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(p.Sector))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(p.Size))
-		rec[16] = byte(p.Op)
-		if _, err := w.bw.Write(rec[:]); err != nil {
+	for _, p := range b.Packages {
+		if _, err := w.bw.Write(appendPackage(w.bw.AvailableBuffer(), p)); err != nil {
 			return err
 		}
 	}
-	var bh [bunchRecordSize]byte
-	binary.LittleEndian.PutUint64(bh[0:8], uint64(t))
-	binary.LittleEndian.PutUint32(bh[8:12], uint32(len(pkgs)))
-	w.bunches = append(w.bunches, bh[:]...)
-	w.np += int64(len(pkgs))
+	w.bunches = appendBunchHeader(w.bunches, b.Time, len(b.Packages))
+	w.np += int64(len(b.Packages))
 	w.nb++
 	return nil
 }
@@ -315,21 +284,9 @@ func (w *MappedWriter) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
-	if w.nb > math.MaxUint32 {
-		return fmt.Errorf("blktrace: too many bunches (%d)", w.nb)
-	}
-	if _, err := w.bw.Write(w.bunches); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	var cnt [12]byte
-	binary.LittleEndian.PutUint32(cnt[0:4], uint32(w.nb))
-	binary.LittleEndian.PutUint64(cnt[4:12], uint64(w.np))
-	_, err := w.f.WriteAt(cnt[:], w.countOff)
-	return err
+	w.bw.Write(w.bunches) // a failed write is sticky: finish's Flush reports it
+	cnt := binary.LittleEndian.AppendUint32(nil, uint32(w.nb))
+	return w.finish(w.nb, binary.LittleEndian.AppendUint64(cnt, uint64(w.np)))
 }
 
 // WriteMappedFile encodes a materialized trace to a format-v2 file.
@@ -344,7 +301,7 @@ func WriteMappedFile(path string, t *Trace) error {
 		return err
 	}
 	for i := range t.Bunches {
-		if err := w.WriteBunch(t.Bunches[i].Time, t.Bunches[i].Packages); err != nil {
+		if err := w.WriteBunch(t.Bunches[i]); err != nil {
 			f.Close()
 			return err
 		}

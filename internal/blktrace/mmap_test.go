@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // viewsEqual compares a mapped view against a materialized trace
@@ -102,7 +104,7 @@ func TestMappedWriterStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range tr.Bunches {
-		if err := w.WriteBunch(b.Time, b.Packages); err != nil {
+		if err := w.WriteBunch(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,19 +133,26 @@ func TestMappedWriterRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBunch(5, nil); err == nil {
-		t.Error("empty bunch accepted")
+	pkgs := sampleTrace().Bunches[0].Packages
+	for name, b := range map[string]Bunch{
+		"empty bunch":       {Time: 5},
+		"zero-size package": {Time: 5, Packages: []IOPackage{{Sector: 0, Size: 0, Op: storage.Read}}},
+		"bad op":            {Time: 5, Packages: []IOPackage{{Sector: 0, Size: 512, Op: storage.Op(7)}}},
+	} {
+		if err := w.WriteBunch(b); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if err := w.WriteBunch(10, sampleTrace().Bunches[0].Packages); err != nil {
+	if err := w.WriteBunch(Bunch{Time: 10, Packages: pkgs}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBunch(9, sampleTrace().Bunches[0].Packages); err == nil {
+	if err := w.WriteBunch(Bunch{Time: 9, Packages: pkgs}); err == nil {
 		t.Error("out-of-order bunch accepted")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBunch(20, sampleTrace().Bunches[0].Packages); err == nil {
+	if err := w.WriteBunch(Bunch{Time: 20, Packages: pkgs}); err == nil {
 		t.Error("write after close accepted")
 	}
 }

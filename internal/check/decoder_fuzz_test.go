@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/blktrace"
+	"repro/internal/experiments"
 	"repro/internal/optimize"
+	"repro/internal/replay"
+	"repro/internal/simtime"
 	"repro/internal/slo"
 	"repro/internal/srt"
 	"repro/internal/workload"
@@ -141,6 +145,85 @@ func FuzzBlktraceReadMapped(f *testing.F) {
 		}
 		_, err = m.Materialize()
 		requireLabelled(t, err, blktrace.ErrBadFormat)
+	})
+}
+
+// Replay bounds for FuzzDecodeReplay.  Replay cost grows with a
+// trace's horizon, IO count and request sizes, none of which a decoder
+// bounds: a fuzzed bunch time near 2^63 ns or an exabyte request is a
+// well-formed trace whose replay would exhaust time and memory rather
+// than crash.  Inputs past these bounds are skipped.
+const (
+	fuzzMaxIOs      = 4096
+	fuzzMaxHorizon  = simtime.Minute
+	fuzzMaxReqBytes = 64 << 20
+)
+
+// fuzzReplayable reports whether src is within the replay bounds.
+func fuzzReplayable(src replay.BunchSource) bool {
+	if src.NumIOs() > fuzzMaxIOs || src.Duration() > fuzzMaxHorizon {
+		return false
+	}
+	for i := 0; i < src.NumBunches(); i++ {
+		for j := 0; j < src.BunchSize(i); j++ {
+			if src.Package(i, j).Size > fuzzMaxReqBytes {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzDecodeReplay closes the loop from decoder to simulator: bytes any
+// trace decoder accepts must replay without a panic.  Read and ReadText
+// output goes through ReplayChecked on a small HDD RAID-5; a mapped
+// trace, which open validates only structurally, goes through the
+// sharded executor at one engine.  Replay errors are allowed.
+func FuzzDecodeReplay(f *testing.F) {
+	dir := f.TempDir()
+	var seeds [][]byte
+	for i, tr := range fixtureTraces(f) {
+		var bin bytes.Buffer
+		if err := blktrace.Write(&bin, tr); err != nil {
+			f.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.rmap", i))
+		if err := blktrace.WriteMappedFile(path, tr); err != nil {
+			f.Fatal(err)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, bin.Bytes(), blob)
+	}
+	addCorpusSeeds(f, seeds...)
+	cfg := experiments.Config{HDDs: 3}
+	path := filepath.Join(dir, "in.rmap")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, decode := range []func(io.Reader) (*blktrace.Trace, error){blktrace.Read, blktrace.ReadText} {
+			tr, err := decode(bytes.NewReader(data))
+			if err != nil || !fuzzReplayable(tr) {
+				continue
+			}
+			engine, array, err := experiments.NewSystem(cfg, experiments.HDDArray)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReplayChecked(engine, array, tr, Options{})
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := blktrace.ReadMappedFile(path)
+		if err != nil || !fuzzReplayable(m) {
+			return
+		}
+		engines, array, err := experiments.NewSystemSharded(cfg, experiments.HDDArray, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay.ReplaySharded(engines, array, m, replay.ShardedOptions{})
 	})
 }
 

@@ -100,6 +100,17 @@ func ReplaySharded(engines []*simtime.Engine, array *raid.Array, src BunchSource
 			return nil, fmt.Errorf("replay: shard %d clock %v != shard 0 clock %v", i+1, e.Now(), start)
 		}
 	}
+	// A mapped source is validated structurally at open, not per
+	// package; check every request up front, as Replay does with
+	// Trace.Validate, so a bad package is an error rather than a panic
+	// in the RAID planner mid-run.
+	for i := 0; i < src.NumBunches(); i++ {
+		for j := 0; j < src.BunchSize(i); j++ {
+			if err := src.Package(i, j).Request().Validate(0); err != nil {
+				return nil, fmt.Errorf("replay: bunch %d package %d: %w", i, j, err)
+			}
+		}
+	}
 	cycle := opts.SamplingCycle
 	if cycle <= 0 {
 		cycle = simtime.Second
