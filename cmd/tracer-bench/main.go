@@ -283,7 +283,7 @@ func runSweep(cfg experiments.Config, w io.Writer) error {
 	opts.Label = func(i int) string { return fmt.Sprintf("%s load %v", modes[i/nLoads], loads[i%nLoads]) }
 	cells, err := parsweep.Map(context.Background(), opts, len(modes)*nLoads,
 		func(i int) (*experiments.Measurement, error) {
-			return experiments.MeasureAtLoad(cfg, experiments.HDDArray, traces[i/nLoads], loads[i%nLoads])
+			return experiments.MeasureAtLoad(cfg, experiments.HDDArray, traces[i/nLoads], loads[i%nLoads], nil)
 		})
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
@@ -323,16 +323,12 @@ func runTraceSweep(cfg experiments.Config, path string, w io.Writer) error {
 	}
 	cells, err := parsweep.Map(context.Background(), opts, len(loads),
 		func(i int) (sweepCell, error) {
-			if telemetryDir == "" {
-				m, err := experiments.MeasureAtLoad(cfg, experiments.HDDArray, tr, loads[i])
-				return sweepCell{m: m}, err
+			var set *telemetry.Set
+			if telemetryDir != "" {
+				set = telemetry.New(telemetry.Options{})
 			}
-			set := telemetry.New(telemetry.Options{})
-			run, err := experiments.MeasureAtLoadTelemetry(cfg, experiments.HDDArray, tr, loads[i], set)
-			if err != nil {
-				return sweepCell{}, err
-			}
-			return sweepCell{m: run.Meas, set: set}, nil
+			m, err := experiments.MeasureAtLoad(cfg, experiments.HDDArray, tr, loads[i], set)
+			return sweepCell{m: m, set: set}, err
 		})
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)

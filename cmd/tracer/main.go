@@ -319,7 +319,6 @@ func cmdTest(args []string, out io.Writer) error {
 	device := fs.String("device", "hdd", "array kind: hdd or ssd")
 	loadsStr := fs.String("loads", "100", "comma-separated load percentages (e.g. 10,50,100)")
 	dbPath := fs.String("db", "", "results database file (JSON); empty disables persistence")
-	cycle := fs.Duration("cycle", 1_000_000_000, "sampling cycle")
 	workers := fs.Int("workers", 0, "parallel load-level replays (0 = all cores, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -371,7 +370,7 @@ func cmdTest(args []string, out io.Writer) error {
 			if err != nil {
 				return cell{}, err
 			}
-			res, err := replay.ReplayAtLoad(e, a, tr, loads[i], replay.Options{SamplingCycle: simtime.FromStd(*cycle)})
+			res, err := replay.ReplayAtLoad(e, a, tr, loads[i], replay.Options{})
 			if err != nil {
 				return cell{}, err
 			}

@@ -105,29 +105,16 @@ func cmdReplay(args []string, out io.Writer) error {
 		src = tr
 	}
 	set := telemetry.New(telemetry.Options{Cadence: simtime.FromStd(*cadence)})
-	if *cf.tier != "" {
-		m, err := experiments.MeasureCachedAtLoadTelemetry(experiments.DefaultConfig(), kind, cf.spec(), src.(*blktrace.Trace), *load/100, set)
-		if err != nil {
-			return err
-		}
-		if err := set.WriteDir(*telemetryDir); err != nil {
-			return err
-		}
-		r := m.Result
-		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s behind %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
-			r.Completed, *load, kind, m.Spec, r.IOPS, r.MBPS, m.Power)
-		fmt.Fprintf(out, "cache: %.1f%% hit (%d/%d), %d writebacks (%.1f KiB), %d evictions\n",
-			m.Cache.HitRate()*100, m.Cache.Hits, m.Cache.Hits+m.Cache.Misses,
-			m.Cache.Writebacks, float64(m.Cache.WritebackBytes)/1024, m.Cache.Evictions)
-		fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
-			*telemetryDir, *telemetryDir)
-		return nil
-	}
-	var run *experiments.TelemetryRun
+	// One call per executor.  Without -cache-tier the spec is disabled,
+	// and the pass-through cache replays byte-identically to the bare
+	// array.
+	cfg := experiments.DefaultConfig()
+	var m *experiments.Measurement
+	var cm *experiments.CachedMeasurement
 	if *shards > 1 || mapped {
-		run, err = experiments.MeasureAtLoadTelemetrySharded(experiments.DefaultConfig(), kind, src, *load/100, set, *shards)
-	} else {
-		run, err = experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), kind, src.(*blktrace.Trace), *load/100, set)
+		m, err = experiments.MeasureAtLoadSharded(cfg, kind, src, *load/100, set, *shards)
+	} else if cm, err = experiments.MeasureCachedAtLoad(cfg, kind, cf.spec(), src.(*blktrace.Trace), *load/100, set); err == nil {
+		m = &cm.Measurement
 	}
 	if err != nil {
 		return err
@@ -135,9 +122,17 @@ func cmdReplay(args []string, out io.Writer) error {
 	if err := set.WriteDir(*telemetryDir); err != nil {
 		return err
 	}
-	r := run.Meas.Result
-	fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s (%d shard(s)%s): %.1f IOPS, %.3f MBPS, %.1f W\n",
-		r.Completed, *load, kind, *shards, map[bool]string{true: ", mmap"}[mapped], r.IOPS, r.MBPS, run.Meas.Power)
+	r := m.Result
+	if *cf.tier != "" {
+		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s behind %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
+			r.Completed, *load, kind, cm.Spec, r.IOPS, r.MBPS, m.Power)
+		fmt.Fprintf(out, "cache: %.1f%% hit (%d/%d), %d writebacks (%.1f KiB), %d evictions\n",
+			cm.Cache.HitRate()*100, cm.Cache.Hits, cm.Cache.Hits+cm.Cache.Misses,
+			cm.Cache.Writebacks, float64(cm.Cache.WritebackBytes)/1024, cm.Cache.Evictions)
+	} else {
+		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s (%d shard(s)%s): %.1f IOPS, %.3f MBPS, %.1f W\n",
+			r.Completed, *load, kind, *shards, map[bool]string{true: ", mmap"}[mapped], r.IOPS, r.MBPS, m.Power)
+	}
 	fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
 		*telemetryDir, *telemetryDir)
 	return nil

@@ -304,7 +304,7 @@ func writeCacheFailureTelemetry(dir, name string, trace *blktrace.Trace, out io.
 	set := telemetry.New(telemetry.Options{})
 	cfg := cacheConfig(1)
 	load := cfg.Loads[len(cfg.Loads)-1]
-	if _, err := experiments.MeasureCachedAtLoadTelemetry(cfg, cacheGoldenKind, cacheGateSpec(), trace, load, set); err != nil {
+	if _, err := experiments.MeasureCachedAtLoad(cfg, cacheGoldenKind, cacheGateSpec(), trace, load, set); err != nil {
 		fmt.Fprintf(out, "  telemetry capture for %s failed: %v\n", name, err)
 		return
 	}

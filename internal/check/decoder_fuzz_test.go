@@ -2,16 +2,20 @@ package check
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
+	"repro/internal/netproto"
 	"repro/internal/optimize"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -280,5 +284,99 @@ func FuzzSLOReadAlerts(f *testing.F) {
 	addCorpusSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		slo.ReadAlerts(data)
+	})
+}
+
+// FuzzSLOSpec feeds JSON through the path `tracer fleet -slo` takes:
+// decode, Spec.Validate, slo.NewEngine.  Validation may reject any
+// input, but must not panic, and a spec it accepts must build an
+// engine.
+func FuzzSLOSpec(f *testing.F) {
+	example, err := json.Marshal(slo.ExampleSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	addCorpusSeeds(f, example,
+		[]byte(`{"fast_window_ns":3,"classes":[{"name":"a","objectives":[{"name":"o","kind":"efficiency","floor_iops_per_watt":1}]}]}`),
+		[]byte(`{"fast_window_ns":1,"slow_window_ns":3600000000000,"eval_interval_ns":1,"classes":[{"name":"a","objectives":[{"name":"o","kind":"efficiency","floor_iops_per_watt":1}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s slo.Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		if _, err := slo.NewEngine(s); err != nil {
+			t.Fatalf("spec validates but NewEngine rejects it: %v", err)
+		}
+	})
+}
+
+// FuzzNetprotoRecv writes arbitrary bytes into one end of an in-memory
+// connection and drains the other through Conn.Recv and DecodeBody into
+// every message type.  Malformed, truncated and over-long frames must
+// come back as errors — never a panic, and never a Recv that blocks
+// once the peer has closed.
+func FuzzNetprotoRecv(f *testing.F) {
+	var seeds [][]byte
+	for _, msg := range []struct {
+		typ  string
+		body any
+	}{
+		{netproto.TypeHello, netproto.Hello{Role: "generator"}},
+		{netproto.TypeTestResult, netproto.TestResult{}},
+		{netproto.TypePowerSamples, netproto.PowerSamples{Samples: []netproto.PowerSample{{}}}},
+		{netproto.TypeError, nil},
+	} {
+		peer, end := net.Pipe()
+		sent := make(chan error, 1)
+		go func() {
+			sent <- netproto.NewConn(peer).Send(msg.typ, 7, msg.body)
+			peer.Close()
+		}()
+		blob, err := io.ReadAll(end)
+		if err == nil {
+			err = <-sent
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, blob)
+	}
+	seeds = append(seeds, []byte{0xff, 0xff, 0xff, 0xff}, []byte{0, 0, 0, 9, '{'})
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	bodies := func() []any {
+		return []any{&netproto.Hello{}, &netproto.StartTest{}, &netproto.IntervalReport{},
+			&netproto.TestResult{}, &netproto.PowerSamples{}, &netproto.PowerReport{}, &netproto.ErrorReport{}}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		peer, end := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			peer.Write(data) // fails once Recv gives up and the test closes its end
+			peer.Close()
+		}()
+		conn := netproto.NewConn(end)
+		defer func() {
+			conn.Close()
+			<-done
+		}()
+		if err := end.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			env, err := conn.Recv()
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("Recv blocked after the peer closed: %v", err)
+			}
+			if err != nil {
+				return
+			}
+			for _, out := range bodies() {
+				netproto.DecodeBody(env, out)
+			}
+		}
 	})
 }

@@ -248,7 +248,7 @@ func VerifyGolden(dir string, opts VerifyOptions, out io.Writer) error {
 // itself.
 func writeFailureTelemetry(dir, name string, trace *blktrace.Trace, out io.Writer) {
 	set := telemetry.New(telemetry.Options{})
-	if _, err := experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), goldenKinds[0], trace, goldenLoads[0], set); err != nil {
+	if _, err := experiments.MeasureAtLoad(experiments.DefaultConfig(), goldenKinds[0], trace, goldenLoads[0], set); err != nil {
 		fmt.Fprintf(out, "  telemetry capture for %s failed: %v\n", name, err)
 		return
 	}

@@ -91,7 +91,7 @@ func CompareFilters(cfg Config, load float64) (*FilterComparison, error) {
 	filters := []replay.Filter{replay.UniformFilter{Proportion: 1.0}, uniform, random}
 	ms, err := pmap(cfg, len(filters),
 		func(i int) string { return filters[i].Name() },
-		func(i int) (*Measurement, error) { return measureReplay(cfg, HDDArray, trace, filters[i]) })
+		func(i int) (*Measurement, error) { return measureFiltered(cfg, HDDArray, trace, filters[i], nil) })
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func GroupSizeSweep(cfg Config) (*GroupSizeResult, error) {
 	}
 	ms, err := pmap(cfg, len(filters),
 		func(i int) string { return fmt.Sprintf("G=%d %s", filters[i].GroupSize, filters[i].Name()) },
-		func(i int) (*Measurement, error) { return measureReplay(cfg, HDDArray, trace, filters[i]) })
+		func(i int) (*Measurement, error) { return measureFiltered(cfg, HDDArray, trace, filters[i], nil) })
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func CompareScaler(cfg Config, load float64) (*ScalerComparison, error) {
 	}
 	ms, err := pmap(cfg, len(filters),
 		func(i int) string { return filters[i].Name() },
-		func(i int) (*Measurement, error) { return measureReplay(cfg, HDDArray, trace, filters[i]) })
+		func(i int) (*Measurement, error) { return measureFiltered(cfg, HDDArray, trace, filters[i], nil) })
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func WritePathStudy(cfg Config) (*WritePathResult, error) {
 			if err != nil {
 				return WritePathRow{}, err
 			}
-			e, a, err := newSystem(cfg, HDDArray)
+			e, a, err := NewSystem(cfg, HDDArray)
 			if err != nil {
 				return WritePathRow{}, err
 			}

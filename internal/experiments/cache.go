@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/cache"
-	"repro/internal/metrics"
-	"repro/internal/powersim"
 	"repro/internal/raid"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -98,7 +96,7 @@ func (s CacheSpec) Label() string {
 // pass-through cache whose behaviour — event sequence, power samples,
 // replay results — is byte-identical to the bare NewSystem array.
 func NewCachedSystem(cfg Config, kind ArrayKind, spec CacheSpec) (*simtime.Engine, *cache.Cache, *raid.Array, error) {
-	e, a, err := newSystem(cfg.normalize(), kind)
+	e, a, err := NewSystem(cfg, kind)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -119,80 +117,21 @@ type CachedMeasurement struct {
 }
 
 // MeasureCachedAtLoad replays trace through a cached system at the
-// given load and meters wall power (backing plus tier).
-func MeasureCachedAtLoad(cfg Config, kind ArrayKind, spec CacheSpec, trace *blktrace.Trace, load float64) (*CachedMeasurement, error) {
-	cfg = cfg.normalize()
-	e, c, _, err := NewCachedSystem(cfg, kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := replay.ReplayAtLoad(e, c, trace, load, replay.Options{})
-	if err != nil {
-		return nil, err
-	}
-	meter := powersim.DefaultMeter(c.PowerSource())
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	return &CachedMeasurement{
-		Measurement: Measurement{
-			Load:   load,
-			Result: res,
-			Power:  watts,
-			Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-		},
-		Spec:  spec.Label(),
-		Cache: c.Stats(),
-	}, nil
-}
-
-// MeasureCachedAtLoadTelemetry is MeasureCachedAtLoad with full
-// instrumentation: engine, array, replay and cache probes plus "wall"
-// and (for a real tier) "cache" power channels.
-func MeasureCachedAtLoadTelemetry(cfg Config, kind ArrayKind, spec CacheSpec, trace *blktrace.Trace, load float64, set *telemetry.Set) (*CachedMeasurement, error) {
+// given load and meters wall power (backing plus tier).  A non-nil set
+// instruments the run like MeasureAtLoad's, adding the cache probes and,
+// for a real tier, a "cache" power channel.
+func MeasureCachedAtLoad(cfg Config, kind ArrayKind, spec CacheSpec, trace *blktrace.Trace, load float64, set *telemetry.Set) (*CachedMeasurement, error) {
 	cfg = cfg.normalize()
 	e, c, a, err := NewCachedSystem(cfg, kind, spec)
 	if err != nil {
 		return nil, err
 	}
-	telemetry.WireEngine(set, e)
-	a.AttachTelemetry(set)
-	c.AttachTelemetry(set)
-	probe := telemetry.NewReplayProbe(set)
-
-	f := replay.UniformFilter{Proportion: load}
-	filtered := f.Apply(trace)
-	probe.OnFilter(filtered.NumIOs(), trace.NumIOs()-filtered.NumIOs())
-
-	start := e.Now()
-	horizon := start.Add(filtered.Duration() + 2*set.Cadence())
-	meter := powersim.DefaultMeter(c.PowerSource())
-	meter.Seed = cfg.Seed
-	set.AddPowerChannel(e, "wall", meter, horizon)
-	if tier := c.TierSource(); tier != nil {
-		set.AddPowerChannel(e, "cache", powersim.DefaultMeter(tier), horizon)
-	}
-	set.StartSampling(e, horizon)
-
-	res, err := replay.Replay(e, c, filtered, replay.Options{Telemetry: probe})
+	r := rig{engine: e, dev: c, wall: c.PowerSource(), tier: c.TierSource(), layers: []instrumented{a, c}}
+	m, err := r.measure(cfg, trace, replay.UniformFilter{Proportion: load}, set)
 	if err != nil {
 		return nil, err
 	}
-	res.Filter = f.Name()
-	set.Flush(e.Now())
-
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	return &CachedMeasurement{
-		Measurement: Measurement{
-			Load:   load,
-			Result: res,
-			Power:  watts,
-			Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-		},
-		Spec:  spec.Label(),
-		Cache: c.Stats(),
-	}, nil
+	return &CachedMeasurement{Measurement: *m, Spec: spec.Label(), Cache: c.Stats()}, nil
 }
 
 // CacheStudyRow is one cell of the cache study: a (spec, load) pair
@@ -247,7 +186,7 @@ func CacheStudy(cfg Config, kind ArrayKind, trace *blktrace.Trace, specs []Cache
 		},
 		func(i int) (CacheStudyRow, error) {
 			spec, load := specs[i/len(loads)], loads[i%len(loads)]
-			m, err := MeasureCachedAtLoad(cfg, kind, spec, trace, load)
+			m, err := MeasureCachedAtLoad(cfg, kind, spec, trace, load, nil)
 			if err != nil {
 				return CacheStudyRow{}, err
 			}

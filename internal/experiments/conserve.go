@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/conserve"
 	"repro/internal/disksim"
-	"repro/internal/metrics"
 	"repro/internal/powersim"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -283,19 +282,9 @@ func MeasureConserve(cfg Config, spec ConserveSpec, trace *blktrace.Trace, load 
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := replay.ReplayAtLoad(engine, sys.Device, trace, load, replay.Options{})
+	m, err := rig{engine: engine, dev: sys.Device, wall: sys.Source}.measure(cfg, trace, replay.UniformFilter{Proportion: load}, nil)
 	if err != nil {
 		return nil, nil, err
-	}
-	meter := powersim.DefaultMeter(sys.Source)
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	m := &Measurement{
-		Load:   load,
-		Result: res,
-		Power:  watts,
-		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
 	}
 	return m, sys, nil
 }

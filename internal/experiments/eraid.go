@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/conserve"
-	"repro/internal/powersim"
-	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
 )
@@ -53,40 +50,26 @@ func ERAIDStudy(cfg Config) (*ERAIDResult, error) {
 	cells, err := pmap(cfg, len(configs),
 		func(i int) string { return configs[i] },
 		func(i int) (cell, error) {
-			config := configs[i]
-			engine := simtime.NewEngine()
-			var src powersim.Source
 			var c cell
-			var r *replay.Result
-			if config == "always-on" {
-				e2, array, err := newSystem(cfg, HDDArray)
-				if err != nil {
-					return cell{}, err
-				}
-				engine = e2
-				src = array.PowerSource()
-				if r, err = replay.ReplayAtLoad(engine, array, trace, 1.0, replay.Options{}); err != nil {
-					return cell{}, err
-				}
+			var m *Measurement
+			var err error
+			if configs[i] == "always-on" {
+				m, err = MeasureAtLoad(cfg, HDDArray, trace, 1.0, nil)
 			} else {
-				arr, err := conserve.NewERAIDArray(engine, conserve.DefaultERAIDParams())
-				if err != nil {
-					return cell{}, err
+				var sys *ConserveSystem
+				if m, sys, err = MeasureConserve(cfg, ConserveSpec{Technique: "eraid"}, trace, 1.0); err == nil {
+					c.reconstructReads = sys.ERAID.Array().Stats().ReconstructReads
+					c.offlines = sys.ERAID.Stats().Offlines
 				}
-				src = arr.PowerSource()
-				if r, err = replay.ReplayAtLoad(engine, arr, trace, 1.0, replay.Options{}); err != nil {
-					return cell{}, err
-				}
-				c.reconstructReads = arr.Array().Stats().ReconstructReads
-				c.offlines = arr.Stats().Offlines
 			}
-			meter := powersim.DefaultMeter(src)
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
+			if err != nil {
+				return cell{}, err
+			}
+			r := m.Result
 			c.row = ERAIDRow{
-				Config:         config,
-				EnergyJ:        powersim.EnergyJ(samples),
-				MeanWatts:      powersim.MeanWatts(samples),
+				Config:         configs[i],
+				EnergyJ:        m.Eff.EnergyJ,
+				MeanWatts:      m.Power,
 				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
 				P99Ms:          r.P99Response.Seconds() * 1000,
 				IOPS:           r.IOPS,

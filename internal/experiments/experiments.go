@@ -15,12 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/blktrace"
-	"repro/internal/disksim"
-	"repro/internal/metrics"
 	"repro/internal/parsweep"
-	"repro/internal/powersim"
-	"repro/internal/raid"
-	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
 )
@@ -110,38 +105,6 @@ func (k ArrayKind) String() string {
 	return "raid5-hdd"
 }
 
-// NewSystem provisions a pristine simulated array of the given kind on
-// a fresh engine; commands and examples share it with the experiment
-// harnesses.
-func NewSystem(cfg Config, kind ArrayKind) (*simtime.Engine, *raid.Array, error) {
-	return newSystem(cfg.normalize(), kind)
-}
-
-// NewSystemSharded provisions the same simulated array as NewSystem but
-// over one engine per shard, for replay.ReplaySharded: member disk i
-// lives on engines[i%shards].  With shards == 1 the system is identical
-// to NewSystem's (same seeds, same names, one engine).
-func NewSystemSharded(cfg Config, kind ArrayKind, shards int) ([]*simtime.Engine, *raid.Array, error) {
-	cfg = cfg.normalize()
-	if shards <= 0 {
-		shards = 1
-	}
-	engines := make([]*simtime.Engine, shards)
-	for i := range engines {
-		engines[i] = simtime.NewEngine()
-	}
-	params := raid.DefaultParams()
-	switch kind {
-	case SSDArray:
-		params.Chassis = raid.SSDChassis()
-		a, err := raid.NewSSDArrayEngines(engines, params, cfg.SSDs, disksim.MemorightSLC32())
-		return engines, a, err
-	default:
-		a, err := raid.NewHDDArrayEngines(engines, params, cfg.HDDs, disksim.Seagate7200())
-		return engines, a, err
-	}
-}
-
 // KindFromString parses "hdd"/"ssd" (or the full array labels).
 func KindFromString(s string) (ArrayKind, error) {
 	switch s {
@@ -154,24 +117,9 @@ func KindFromString(s string) (ArrayKind, error) {
 	}
 }
 
-// newSystem provisions a pristine simulated array of the given kind.
-func newSystem(cfg Config, kind ArrayKind) (*simtime.Engine, *raid.Array, error) {
-	e := simtime.NewEngine()
-	params := raid.DefaultParams()
-	switch kind {
-	case SSDArray:
-		params.Chassis = raid.SSDChassis()
-		a, err := raid.NewSSDArray(e, params, cfg.SSDs, disksim.MemorightSLC32())
-		return e, a, err
-	default:
-		a, err := raid.NewHDDArray(e, params, cfg.HDDs, disksim.Seagate7200())
-		return e, a, err
-	}
-}
-
 // collectTrace collects a peak trace for mode on a pristine array.
 func collectTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Trace, error) {
-	e, a, err := newSystem(cfg, kind)
+	e, a, err := NewSystem(cfg, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -182,49 +130,6 @@ func collectTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Trace,
 		WorkingSetBytes: cfg.WorkingSet,
 		Seed:            cfg.Seed,
 	})
-}
-
-// Measurement is one (load level, trace) replay measurement with power.
-type Measurement struct {
-	// Load is the configured load proportion.
-	Load float64
-	// Result is the replay's performance outcome.
-	Result *replay.Result
-	// Power is the metered mean wall power over the run.
-	Power float64
-	// Eff derives the paper's combined metrics.
-	Eff metrics.Efficiency
-}
-
-// measureReplay replays trace on a fresh array at the given load and
-// meters wall power over the run.
-func measureReplay(cfg Config, kind ArrayKind, trace *blktrace.Trace, f replay.Filter) (*Measurement, error) {
-	e, a, err := newSystem(cfg, kind)
-	if err != nil {
-		return nil, err
-	}
-	res, err := replay.ReplayFiltered(e, a, trace, f, replay.Options{})
-	if err != nil {
-		return nil, err
-	}
-	meter := powersim.DefaultMeter(a.PowerSource())
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	m := &Measurement{
-		Result: res,
-		Power:  watts,
-		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-	}
-	if uf, ok := f.(replay.UniformFilter); ok {
-		m.Load = uf.Proportion
-	}
-	return m, nil
-}
-
-// measureAtLoad is measureReplay with the paper's uniform filter.
-func measureAtLoad(cfg Config, kind ArrayKind, trace *blktrace.Trace, load float64) (*Measurement, error) {
-	return measureReplay(cfg, kind, trace, replay.UniformFilter{Proportion: load})
 }
 
 // pmap fans n independent simulation cells across cfg.Workers
@@ -241,7 +146,7 @@ func loadSweep(cfg Config, kind ArrayKind, trace *blktrace.Trace) ([]Measurement
 	return pmap(cfg, len(cfg.Loads),
 		func(i int) string { return fmt.Sprintf("load %v", cfg.Loads[i]) },
 		func(i int) (Measurement, error) {
-			m, err := measureAtLoad(cfg, kind, trace, cfg.Loads[i])
+			m, err := MeasureAtLoad(cfg, kind, trace, cfg.Loads[i], nil)
 			if err != nil {
 				return Measurement{}, err
 			}
@@ -254,13 +159,6 @@ func loadSweep(cfg Config, kind ArrayKind, trace *blktrace.Trace) ([]Measurement
 // across cores.
 func CollectModeTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Trace, error) {
 	return collectTrace(cfg.normalize(), kind, mode)
-}
-
-// MeasureAtLoad replays trace on a fresh array at the given load
-// proportion and meters wall power — the exported per-cell measurement
-// sweep tools fan out with CollectModeTrace.
-func MeasureAtLoad(cfg Config, kind ArrayKind, trace *blktrace.Trace, load float64) (*Measurement, error) {
-	return measureAtLoad(cfg.normalize(), kind, trace, load)
 }
 
 // ModeSweep collects a peak trace for mode on a pristine array of the

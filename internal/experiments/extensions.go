@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/disksim"
-	"repro/internal/metrics"
-	"repro/internal/powersim"
 	"repro/internal/raid"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -58,7 +56,7 @@ func DegradedStudy(cfg Config) (*DegradedResult, error) {
 		},
 		func(i int) (Measurement, error) {
 			fail := i%2 == 1
-			engine, array, err := newSystem(cfg, HDDArray)
+			engine, array, err := NewSystem(cfg, HDDArray)
 			if err != nil {
 				return Measurement{}, err
 			}
@@ -67,19 +65,11 @@ func DegradedStudy(cfg Config) (*DegradedResult, error) {
 					return Measurement{}, err
 				}
 			}
-			r, err := replay.ReplayAtLoad(engine, array, traces[i/2], 1.0, replay.Options{})
+			m, err := arrayRig(engine, array).measure(cfg, traces[i/2], replay.UniformFilter{Proportion: 1.0}, nil)
 			if err != nil {
 				return Measurement{}, err
 			}
-			meter := powersim.DefaultMeter(array.PowerSource())
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
-			return Measurement{
-				Load:   1.0,
-				Result: r,
-				Power:  powersim.MeanWatts(samples),
-				Eff:    metrics.NewEfficiency(r.IOPS, r.MBPS, powersim.MeanWatts(samples), powersim.EnergyJ(samples)),
-			}, nil
+			return *m, nil
 		})
 	if err != nil {
 		return nil, err
@@ -152,12 +142,9 @@ func SchedulerStudy(cfg Config) (*SchedulerResult, error) {
 			if err != nil {
 				return SchedulerRow{}, err
 			}
-			meter := powersim.DefaultMeter(array.PowerSource())
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
 			return SchedulerRow{
 				Scheduler:  scheds[i].String(),
-				Meas:       Measurement{Load: 1, Result: r, Power: powersim.MeanWatts(samples), Eff: metrics.NewEfficiency(r.IOPS, r.MBPS, powersim.MeanWatts(samples), powersim.EnergyJ(samples))},
+				Meas:       *meterRun(cfg, 1, array.PowerSource(), r),
 				MeanRespMs: r.MeanResponse.Seconds() * 1000,
 				P99Ms:      r.P99Response.Seconds() * 1000,
 			}, nil

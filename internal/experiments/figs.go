@@ -225,7 +225,7 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 	cells, err := pmap(cfg, len(modes)*nLoads,
 		func(i int) string { return fmt.Sprintf("%s load %v", modes[i/nLoads], cfg.Loads[i%nLoads]) },
 		func(i int) (Measurement, error) {
-			m, err := measureAtLoad(cfg, HDDArray, traces[i/nLoads], cfg.Loads[i%nLoads])
+			m, err := MeasureAtLoad(cfg, HDDArray, traces[i/nLoads], cfg.Loads[i%nLoads], nil)
 			if err != nil {
 				return Measurement{}, err
 			}
@@ -330,7 +330,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			if err != nil {
 				return Fig10Point{}, err
 			}
-			m, err := measureAtLoad(cfg, HDDArray, trace, 1.0)
+			m, err := MeasureAtLoad(cfg, HDDArray, trace, 1.0, nil)
 			if err != nil {
 				return Fig10Point{}, err
 			}
@@ -418,7 +418,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 			if err != nil {
 				return Fig11Point{}, err
 			}
-			m, err := measureAtLoad(cfg, HDDArray, trace, 1.0)
+			m, err := MeasureAtLoad(cfg, HDDArray, trace, 1.0, nil)
 			if err != nil {
 				return Fig11Point{}, err
 			}
@@ -479,7 +479,7 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 	series, err := pmap(cfg, len(loads),
 		func(i int) string { return fmt.Sprintf("load %v", loads[i]) },
 		func(i int) (Fig12Series, error) {
-			m, err := measureAtLoad(cfg, HDDArray, trace, loads[i])
+			m, err := MeasureAtLoad(cfg, HDDArray, trace, loads[i], nil)
 			if err != nil {
 				return Fig12Series{}, err
 			}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/disksim"
 	"repro/internal/raid"
 	"repro/internal/simtime"
 )
@@ -31,20 +30,7 @@ func NewFleetMember(cfg Config, kind ArrayKind, index int) (*simtime.Engine, *ra
 	if index < 0 {
 		return nil, nil, fmt.Errorf("experiments: negative fleet index %d", index)
 	}
-	cfg = cfg.normalize()
 	e := simtime.NewEngine()
-	params := raid.DefaultParams()
-	switch kind {
-	case SSDArray:
-		params.Chassis = raid.SSDChassis()
-		d := disksim.MemorightSLC32()
-		d.Seed += uint64(index) * FleetSeedStride
-		a, err := raid.NewSSDArray(e, params, cfg.SSDs, d)
-		return e, a, err
-	default:
-		d := disksim.Seagate7200()
-		d.Seed += uint64(index) * FleetSeedStride
-		a, err := raid.NewHDDArray(e, params, cfg.HDDs, d)
-		return e, a, err
-	}
+	a, err := provision(cfg.normalize(), kind, []*simtime.Engine{e}, index)
+	return e, a, err
 }

@@ -39,7 +39,7 @@ func SSDStudy(cfg Config) (*SSDStudyResult, error) {
 
 	// Idle power.
 	{
-		e, a, err := newSystem(cfg, SSDArray)
+		e, a, err := NewSystem(cfg, SSDArray)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func SSDStudy(cfg Config) (*SSDStudyResult, error) {
 			if err != nil {
 				return Measurement{}, err
 			}
-			m, err := measureAtLoad(cfg, specs[i].kind, trace, 1.0)
+			m, err := MeasureAtLoad(cfg, specs[i].kind, trace, 1.0, nil)
 			if err != nil {
 				return Measurement{}, err
 			}

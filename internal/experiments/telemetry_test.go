@@ -26,36 +26,79 @@ func telemetryTestTrace() *blktrace.Trace {
 	return synth.WebServerTrace(p)
 }
 
-func TestMeasureAtLoadTelemetryMatchesPlainMeasurement(t *testing.T) {
+// TestMeasurementPathsAgree is the measurement cell's contract: every
+// entry point that replays a trace at a load and meters it — serial
+// with and without instrumentation, behind a disabled cache with and
+// without instrumentation, and on the sharded executor — returns the
+// same Measurement, field for field.  No field is exempt.
+func TestMeasurementPathsAgree(t *testing.T) {
+	tr := telemetryTestTrace()
+	cfg := DefaultConfig()
+	set := func() *telemetry.Set { return telemetry.New(telemetry.Options{}) }
+	cached := func(s *telemetry.Set) func(float64) (*Measurement, error) {
+		return func(load float64) (*Measurement, error) {
+			m, err := MeasureCachedAtLoad(cfg, HDDArray, CacheSpec{}, tr, load, s)
+			if err != nil {
+				return nil, err
+			}
+			return &m.Measurement, nil
+		}
+	}
+	sharded := func(shards int, s *telemetry.Set) func(float64) (*Measurement, error) {
+		return func(load float64) (*Measurement, error) {
+			return MeasureAtLoadSharded(cfg, HDDArray, tr, load, s, shards)
+		}
+	}
+	for _, load := range []float64{0.5, 1.0} {
+		want, err := MeasureAtLoad(cfg, HDDArray, tr, load, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := []struct {
+			name string
+			run  func(float64) (*Measurement, error)
+		}{
+			{"serial+set", func(load float64) (*Measurement, error) { return MeasureAtLoad(cfg, HDDArray, tr, load, set()) }},
+			{"cached-disabled", cached(nil)},
+			{"cached-disabled+set", cached(set())},
+			{"sharded-1+set", sharded(1, set())},
+			{"sharded-2+set", sharded(2, set())},
+			{"sharded-2", sharded(2, nil)},
+		}
+		for _, p := range paths {
+			got, err := p.run(load)
+			if err != nil {
+				t.Fatalf("%s at load %v: %v", p.name, load, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at load %v diverges from MeasureAtLoad:\n got %+v %+v\nwant %+v %+v",
+					p.name, load, got, got.Result, want, want.Result)
+			}
+		}
+	}
+}
+
+// TestInstrumentedRunCounters: the registry an instrumented run fills
+// agrees with its replay result.
+func TestInstrumentedRunCounters(t *testing.T) {
 	tr := telemetryTestTrace()
 	set := telemetry.New(telemetry.Options{})
-	run, err := MeasureAtLoadTelemetry(DefaultConfig(), HDDArray, tr, 0.5, set)
+	m, err := MeasureAtLoad(DefaultConfig(), HDDArray, tr, 0.5, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := MeasureAtLoad(DefaultConfig(), HDDArray, tr, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Meas.Result.IOPS != plain.Result.IOPS ||
-		run.Meas.Result.Completed != plain.Result.Completed ||
-		run.Meas.Power != plain.Power {
-		t.Fatalf("instrumented measurement diverges from plain:\n got %+v\nwant %+v",
-			run.Meas, plain)
-	}
-	// Registry counters agree with the replay result.
 	reg := set.Registry()
-	if got := reg.Counter("replay.issued").Value(); got != run.Meas.Result.Issued {
-		t.Fatalf("replay.issued = %d, want %d", got, run.Meas.Result.Issued)
+	if got := reg.Counter("replay.issued").Value(); got != m.Result.Issued {
+		t.Fatalf("replay.issued = %d, want %d", got, m.Result.Issued)
 	}
-	if got := reg.Counter("replay.completed").Value(); got != run.Meas.Result.Completed {
-		t.Fatalf("replay.completed = %d, want %d", got, run.Meas.Result.Completed)
+	if got := reg.Counter("replay.completed").Value(); got != m.Result.Completed {
+		t.Fatalf("replay.completed = %d, want %d", got, m.Result.Completed)
 	}
 	pass := reg.Counter("replay.filter_pass").Value()
 	drop := reg.Counter("replay.filter_drop").Value()
-	if pass != run.Meas.Result.Issued || pass+drop != int64(tr.NumIOs()) {
+	if pass != m.Result.Issued || pass+drop != int64(tr.NumIOs()) {
 		t.Fatalf("filter pass/drop = %d/%d over %d IOs (issued %d)",
-			pass, drop, tr.NumIOs(), run.Meas.Result.Issued)
+			pass, drop, tr.NumIOs(), m.Result.Issued)
 	}
 	if len(set.Windows()) == 0 {
 		t.Fatal("no sampled windows")
@@ -65,18 +108,69 @@ func TestMeasureAtLoadTelemetryMatchesPlainMeasurement(t *testing.T) {
 	}
 }
 
+// TestFullLoadFilterAccounting: at 100% load every executor and input
+// form records the filter step — filter_pass equals the IOs issued and
+// the Result names the uniform filter — exactly as the serial run does.
+// A mapped trace still replays zero-copy.
+func TestFullLoadFilterAccounting(t *testing.T) {
+	tr := telemetryTestTrace()
+	path := filepath.Join(t.TempDir(), "t.rmap")
+	if err := blktrace.WriteMappedFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	mt, err := blktrace.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	runs := []struct {
+		name string
+		run  func(*telemetry.Set) (*Measurement, error)
+	}{
+		{"serial", func(s *telemetry.Set) (*Measurement, error) {
+			return MeasureAtLoad(DefaultConfig(), HDDArray, tr, 1.0, s)
+		}},
+		{"sharded-2", func(s *telemetry.Set) (*Measurement, error) {
+			return MeasureAtLoadSharded(DefaultConfig(), HDDArray, tr, 1.0, s, 2)
+		}},
+		{"mapped-1", func(s *telemetry.Set) (*Measurement, error) {
+			return MeasureAtLoadSharded(DefaultConfig(), HDDArray, mt, 1.0, s, 1)
+		}},
+	}
+	for _, r := range runs {
+		set := telemetry.New(telemetry.Options{})
+		m, err := r.run(set)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		reg := set.Registry()
+		pass := reg.Counter("replay.filter_pass").Value()
+		drop := reg.Counter("replay.filter_drop").Value()
+		if pass != m.Result.Issued || pass != int64(tr.NumIOs()) || drop != 0 {
+			t.Errorf("%s: filter pass/drop = %d/%d, want %d/0 (issued %d)",
+				r.name, pass, drop, tr.NumIOs(), m.Result.Issued)
+		}
+		if m.Result.Filter != "uniform-100%" {
+			t.Errorf("%s: Result.Filter = %q, want %q", r.name, m.Result.Filter, "uniform-100%")
+		}
+	}
+}
+
 // TestTelemetryPowerAgreesWithMeasure is the acceptance criterion: the
 // online-sampled power channel, and the CSV it exports, integrate to
 // the same energy as a post-hoc powersim.Measure within 1e-6 relative.
 func TestTelemetryPowerAgreesWithMeasure(t *testing.T) {
 	tr := telemetryTestTrace()
 	set := telemetry.New(telemetry.Options{})
-	run, err := MeasureAtLoadTelemetry(DefaultConfig(), HDDArray, tr, 1.0, set)
-	if err != nil {
+	if _, err := MeasureAtLoad(DefaultConfig(), HDDArray, tr, 1.0, set); err != nil {
 		t.Fatal(err)
 	}
-	want := run.Meter.Measure(run.Start, run.Horizon)
-	got := run.Channel.Samples()
+	ch := set.PowerChannels()[0]
+	if ch.Name != "wall" {
+		t.Fatalf("first power channel is %q, want wall", ch.Name)
+	}
+	want := ch.Meter.Measure(ch.Span())
+	got := ch.Samples()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("online channel is not bit-identical to Measure: %d vs %d samples", len(got), len(want))
 	}
@@ -124,7 +218,7 @@ func TestTelemetryPowerAgreesWithMeasure(t *testing.T) {
 func TestTelemetryDirArtifacts(t *testing.T) {
 	tr := telemetryTestTrace()
 	set := telemetry.New(telemetry.Options{})
-	run, err := MeasureAtLoadTelemetry(DefaultConfig(), SSDArray, tr, 0.5, set)
+	m, err := MeasureAtLoad(DefaultConfig(), SSDArray, tr, 0.5, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +264,7 @@ func TestTelemetryDirArtifacts(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, buf.String())
 		}
 	}
-	if run.Meas.Result.Completed == 0 {
+	if m.Result.Completed == 0 {
 		t.Fatal("run completed no IOs")
 	}
 }

@@ -104,7 +104,7 @@ func WorkloadStudy(cfg Config) (*WorkloadStudyResult, error) {
 			if i > 0 {
 				tr = traces[i-1]
 			}
-			m, err := measureAtLoad(cfg, HDDArray, tr, 1.0)
+			m, err := MeasureAtLoad(cfg, HDDArray, tr, 1.0, nil)
 			if err != nil {
 				return Measurement{}, err
 			}

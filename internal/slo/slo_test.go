@@ -57,6 +57,8 @@ func TestSpecValidate(t *testing.T) {
 		{"no classes", func(s *Spec) { s.Classes = nil }, "no classes"},
 		{"fast>slow", func(s *Spec) { s.FastWindow = s.SlowWindow * 2 }, "exceeds"},
 		{"misaligned", func(s *Spec) { s.EvalInterval = 7 * simtime.Millisecond }, "multiples"},
+		{"zero default interval", func(s *Spec) { s.FastWindow, s.EvalInterval = 3, 0 }, "too short"},
+		{"too many ticks", func(s *Spec) { s.FastWindow, s.SlowWindow, s.EvalInterval = 1, simtime.Hour, 1 }, "limit"},
 		{"dup class", func(s *Spec) { s.Classes[1].Name = "gold" }, "duplicate"},
 		{"bucket>=mod", func(s *Spec) { s.Classes[0].Match.Buckets = []uint64{2} }, "outside mod"},
 		{"mod no buckets", func(s *Spec) { s.Classes[0].Match.Buckets = nil }, "no buckets"},

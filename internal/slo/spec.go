@@ -111,6 +111,10 @@ const (
 	DefaultFastWindow    = 5 * simtime.Minute
 	DefaultSlowWindow    = simtime.Hour
 	DefaultBurnThreshold = 14.4
+	// maxWindowTicks bounds the slow window in eval intervals: the
+	// engine keeps a ring of that many ticks per objective, so an
+	// unbounded ratio would let a spec size memory arbitrarily.
+	maxWindowTicks = 1 << 16
 )
 
 // withDefaults fills zero evaluation parameters.
@@ -143,9 +147,16 @@ func (s Spec) Validate() error {
 	if d.FastWindow > d.SlowWindow {
 		return fmt.Errorf("slo: fast window %v exceeds slow window %v", d.FastWindow, d.SlowWindow)
 	}
+	if d.EvalInterval <= 0 {
+		return fmt.Errorf("slo: fast window %v is too short for the default eval interval (fast/5)", d.FastWindow)
+	}
 	if d.FastWindow%d.EvalInterval != 0 || d.SlowWindow%d.EvalInterval != 0 {
 		return fmt.Errorf("slo: windows %v/%v are not whole multiples of the eval interval %v",
 			d.FastWindow, d.SlowWindow, d.EvalInterval)
+	}
+	if ticks := d.SlowWindow / d.EvalInterval; ticks > maxWindowTicks {
+		return fmt.Errorf("slo: slow window %v spans %d eval intervals of %v (limit %d)",
+			d.SlowWindow, ticks, d.EvalInterval, maxWindowTicks)
 	}
 	var periodNames map[string]bool
 	if s.Periods != nil {
